@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Mapping
 
@@ -79,36 +80,107 @@ def cycle_edges(cycle: Cycle) -> list[Edge]:
 # =====================================================================
 
 
+@dataclass(eq=False)
+class Incidence:
+    """Sorted cells and cell incidences of one complex.
+
+    A complex builds its index on first use and keeps it (see the
+    ``incidence`` property of each complex class); each incidence map is
+    in turn built on first use.  The index is not a dataclass field, so
+    equality, hashing and repr of the complex ignore it.
+    """
+
+    vertices: frozenset[str]
+    edges: frozenset[Edge]
+    cells2: tuple[Cycle, ...]
+    tetrahedra: tuple[Simplex, ...] = ()
+
+    @cached_property
+    def edge_cells(self) -> dict[Edge, list[int]]:
+        """Each edge's 2-cells as indices into cells2, keyed in edge order."""
+        out: dict[Edge, list[int]] = {e: [] for e in self.edges}
+        for i, cell in enumerate(self.cells2):
+            for e in cycle_edges(cell):
+                out.setdefault(e, []).append(i)
+        return dict(sorted(out.items()))
+
+    @cached_property
+    def chords(self) -> dict[str, list[Edge]]:
+        """Each vertex's link chords, one per incident 2-cell in cells2 order.
+
+        The chord of a cell at v joins v's two neighbors along the cycle.
+        """
+        out: dict[str, list[Edge]] = {}
+        for cell in self.cells2:
+            k = len(cell)
+            for i, v in enumerate(cell):
+                out.setdefault(v, []).append(norm_edge(cell[i - 1], cell[(i + 1) % k]))
+        return out
+
+    @cached_property
+    def triangle_tets(self) -> dict[Simplex, list[int]]:
+        """Each triangle's tetrahedra as indices into tetrahedra, keyed in order."""
+        out: dict[Simplex, list[int]] = {t: [] for t in self.cells2}
+        for i, tet in enumerate(self.tetrahedra):
+            for k in range(4):
+                out.setdefault(tet[:k] + tet[k + 1 :], []).append(i)
+        return dict(sorted(out.items()))
+
+    @cached_property
+    def vertex_tets(self) -> dict[str, list[int]]:
+        """Each vertex's tetrahedra as indices into tetrahedra."""
+        out: dict[str, list[int]] = {}
+        for i, tet in enumerate(self.tetrahedra):
+            for v in tet:
+                out.setdefault(v, []).append(i)
+        return out
+
+
 @dataclass(frozen=True)
 class SimplicialComplex:
     """A face-closed set of simplices of dimension at most 3."""
 
     simplices: frozenset[Simplex]
 
+    @cached_property
+    def incidence(self) -> Incidence:
+        by_dim: tuple[list[Simplex], ...] = ([], [], [], [])
+        for s in self.simplices:
+            by_dim[len(s) - 1].append(s)
+        return Incidence(
+            frozenset(s[0] for s in by_dim[0]),
+            frozenset(by_dim[1]),  # type: ignore[arg-type]
+            tuple(sorted(by_dim[2])),
+            tuple(sorted(by_dim[3])),
+        )
+
+    @cached_property
+    def loose(self) -> frozenset[Simplex]:
+        """The simplices that are no face of a tetrahedron."""
+        return self.simplices - close(self.tetrahedra()).simplices
+
     def vertex_set(self) -> frozenset[str]:
-        return frozenset(s[0] for s in self.simplices if len(s) == 1)
+        return self.incidence.vertices
 
     def edge_set(self) -> frozenset[Edge]:
-        return frozenset(s for s in self.simplices if len(s) == 2)  # type: ignore[misc]
+        return self.incidence.edges
 
     def triangles(self) -> tuple[Simplex, ...]:
-        return tuple(sorted(s for s in self.simplices if len(s) == 3))
+        return self.incidence.cells2
 
     def tetrahedra(self) -> tuple[Simplex, ...]:
-        return tuple(sorted(s for s in self.simplices if len(s) == 4))
+        return self.incidence.tetrahedra
 
     def cells2(self) -> tuple[Cycle, ...]:
         """The 2-cells as cycles; a triangle (a,b,c) is its own 3-cycle."""
-        return self.triangles()
+        return self.incidence.cells2
 
     def dim(self) -> int:
         return max(len(s) for s in self.simplices) - 1 if self.simplices else -1
 
     def counts(self) -> tuple[int, int, int, int]:
-        ns = [0, 0, 0, 0]
-        for s in self.simplices:
-            ns[len(s) - 1] += 1
-        return tuple(ns)  # type: ignore[return-value]
+        inc = self.incidence
+        return (len(inc.vertices), len(inc.edges), len(inc.cells2), len(inc.tetrahedra))
 
 
 def close(simplices: Iterable[Iterable[str]]) -> SimplicialComplex:
@@ -138,6 +210,10 @@ class CWComplex2:
     vertices: frozenset[str]
     edges: frozenset[Edge]
     faces: tuple[Cycle, ...]
+
+    @cached_property
+    def incidence(self) -> Incidence:
+        return Incidence(self.vertices, self.edges, self.faces)
 
     def vertex_set(self) -> frozenset[str]:
         return self.vertices
@@ -251,25 +327,39 @@ def parse_cw2(text: str) -> CWComplex2:
     return cw_complex(faces, extra_edges, extra_vertices)
 
 
+def _json_labels(raw: object, what: str) -> tuple[str, ...]:
+    # vertex labels may be JSON strings or numbers
+    if not isinstance(raw, list) or not all(isinstance(v, (str, int, float)) for v in raw):
+        raise ParseError(f"{what} must be a list of vertex labels, got {json.dumps(raw)}")
+    return tuple(str(v) for v in raw)
+
+
+def _json_list(obj: dict, key: str) -> list:
+    items = obj.get(key, [])
+    if not isinstance(items, list):
+        raise ParseError(f'"{key}" must be a list, got {json.dumps(items)}')
+    return items
+
+
 def _parse_json_obj(obj: object) -> Complex:
+    # every shape check on a JSON document happens here, as a ParseError
     if not isinstance(obj, dict):
         raise ParseError("JSON document must be an object")
     if "simplices" in obj:
         items = obj["simplices"]
         if not isinstance(items, list) or not items:
             raise ParseError('"simplices" must be a nonempty list')
-        return close(tuple(str(v) for v in s) for s in items)
+        return close(_json_labels(s, "a simplex") for s in items)
     if "faces" in obj or "edges" in obj or "vertices" in obj:
-        faces = obj.get("faces", [])
-        edges = obj.get("edges", [])
-        vertices = obj.get("vertices", [])
+        faces = [_json_labels(f, "a face") for f in _json_list(obj, "faces")]
+        edges = [_json_labels(e, "an edge") for e in _json_list(obj, "edges")]
+        for e in edges:
+            if len(e) != 2 or e[0] == e[1]:
+                raise ParseError(f"edge needs two distinct endpoints, got {json.dumps(e)}")
+        vertices = _json_labels(_json_list(obj, "vertices"), '"vertices"')
         if not (faces or edges or vertices):
             raise ParseError("empty input: no cells")
-        return cw_complex(
-            (tuple(str(v) for v in f) for f in faces),
-            ((str(a), str(b)) for a, b in edges),
-            (str(v) for v in vertices),
-        )
+        return cw_complex(faces, edges, vertices)  # type: ignore[arg-type]
     raise ParseError('JSON document needs "simplices" or "faces"/"edges"/"vertices"')
 
 

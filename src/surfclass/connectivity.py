@@ -59,5 +59,11 @@ def is_connected(cx: Complex) -> bool:
 
 
 def component_subcomplexes(cx: Complex) -> list[Complex]:
-    """The induced subcomplex of every component, in component order."""
-    return [induced_subcomplex(cx, comp) for comp in components(cx).components]
+    """The induced subcomplex of every component, in component order.
+
+    A connected complex is returned as itself, which keeps its index.
+    """
+    parts = components(cx).components
+    if len(parts) == 1:
+        return [cx]
+    return [induced_subcomplex(cx, comp) for comp in parts]

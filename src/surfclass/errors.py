@@ -82,6 +82,10 @@ class NotManifold(TopologyError):
         self.vertex = vertex
 
 
+class InvariantError(TopologyError):
+    """A result broke an invariant its algorithm guarantees: a bug, not bad input."""
+
+
 class Disconnected(TopologyError):
     """The operation requires a connected object."""
 

@@ -9,12 +9,11 @@ pipeline.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 from .classify import SurfaceType, classify_surface, is_disk, is_sphere
 from .complexes import SimplicialComplex, Simplex, close, euler_characteristic
-from .errors import NotManifold, NotSurface
+from .errors import InvariantError, NotManifold, NotSurface
 from .surface import BOUNDARY, INTERIOR
 
 
@@ -33,28 +32,17 @@ class Manifold3Check:
     defect: Exception | None = None
 
 
-def _triangle_incidence(cx: SimplicialComplex) -> dict[Simplex, list[int]]:
-    incidence: dict[Simplex, list[int]] = defaultdict(list)
-    for i, tet in enumerate(cx.tetrahedra()):
-        for k in range(4):
-            incidence[tet[:k] + tet[k + 1 :]].append(i)
-    for tri in cx.triangles():
-        incidence.setdefault(tri, [])
-    return incidence
-
-
 def face_check3(cx: SimplicialComplex) -> list[TriangleStatus]:
     """Classify every triangle as interior (2 tetrahedra) or boundary (1)."""
     if not cx.tetrahedra():
         raise NotManifold("complex has no 3-cells")
-    incidence = _triangle_incidence(cx)
     out = []
-    for tri in sorted(incidence):
-        n = len(incidence[tri])
+    for tri, tets in cx.incidence.triangle_tets.items():
+        n = len(tets)
         if n == 1:
-            out.append(TriangleStatus(tri, BOUNDARY, tuple(incidence[tri])))
+            out.append(TriangleStatus(tri, BOUNDARY, tuple(tets)))
         elif n == 2:
-            out.append(TriangleStatus(tri, INTERIOR, tuple(incidence[tri])))
+            out.append(TriangleStatus(tri, INTERIOR, tuple(tets)))
         else:
             raise NotManifold(
                 f"triangle {' '.join(tri)} lies in {n} tetrahedra",
@@ -65,13 +53,16 @@ def face_check3(cx: SimplicialComplex) -> list[TriangleStatus]:
 
 
 def vertex_link3(cx: SimplicialComplex, v: str) -> SimplicialComplex:
-    """The link of v: the closure of the opposite faces of all cells at v."""
-    if (v,) not in cx.simplices:
+    """The link of v: the closure of the opposite faces of all cells at v.
+
+    Every cell at v is a face of one of v's tetrahedra or of a cell that
+    lies in no tetrahedron, so those two kinds span the link.
+    """
+    if v not in cx.vertex_set():
         raise ValueError(f"no vertex {v!r} in complex")
-    opposite = []
-    for s in cx.simplices:
-        if len(s) > 1 and v in s:
-            opposite.append(tuple(w for w in s if w != v))
+    tets = cx.tetrahedra()
+    opposite = [tuple(w for w in tets[i] if w != v) for i in cx.incidence.vertex_tets.get(v, ())]
+    opposite += [tuple(w for w in s if w != v) for s in cx.loose if v in s and len(s) > 1]
     if not opposite:
         return SimplicialComplex(frozenset())
     return close(opposite)
@@ -113,7 +104,8 @@ def is_3manifold(cx: SimplicialComplex) -> Manifold3Check:
             boundary_types = tuple(classify_surface(close(boundary_tris)))
         except NotSurface as exc:  # pragma: no cover - links already vetted
             return Manifold3Check(False, None, (), exc)
-    if closed:
-        # closed 3-manifolds have vanishing Euler characteristic
-        assert euler_characteristic(cx) == 0
+    if closed and euler_characteristic(cx) != 0:
+        raise InvariantError(
+            f"closed 3-manifold with Euler characteristic {euler_characteristic(cx)}, not 0"
+        )
     return Manifold3Check(True, closed, boundary_types, None)

@@ -11,10 +11,10 @@ dimension up for tetrahedra, where the shared cells are triangles.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass
 
-from .complexes import Complex, Edge, SimplicialComplex, Simplex, norm_edge
+from .complexes import Complex, Edge, SimplicialComplex, Simplex, cycle_edges
 
 
 @dataclass(frozen=True)
@@ -41,6 +41,11 @@ def induced_edge_orientations(cell: tuple[str, ...]) -> tuple[tuple[str, str], .
     return tuple((cell[i], cell[(i + 1) % k]) for i in range(k))
 
 
+def _runs(cell: tuple[str, ...], e: Edge) -> bool:
+    # whether the cycle traverses e from e[0] to e[1]
+    return cell[(cell.index(e[0]) + 1) % len(cell)] == e[1]
+
+
 def _smallest_first(cell: tuple[str, ...]) -> tuple[str, ...]:
     # canonical representative of the oriented cycle: rotate only
     i = cell.index(min(cell))
@@ -54,41 +59,34 @@ def orient2(cx: Complex) -> OrientationResult:
     most two 2-cells).
     """
     cells = cx.cells2()
-    incidence: dict[Edge, list[int]] = defaultdict(list)
-    for i, cell in enumerate(cells):
-        for e in cycle_key(cell):
-            incidence[e].append(i)
-    chosen: dict[int, tuple[str, ...]] = {}
+    incidence = cx.incidence.edge_cells
+    flipped: dict[int, bool] = {}  # cell index -> reversed against its stored cycle
+
+    def chosen(i: int) -> tuple[str, ...]:
+        cell = cells[i]
+        return (cell[0],) + tuple(reversed(cell[1:])) if flipped[i] else cell
+
     for start in range(len(cells)):
-        if start in chosen:
+        if start in flipped:
             continue
-        chosen[start] = cells[start]
+        flipped[start] = False
         queue = deque([start])
         while queue:
             i = queue.popleft()
-            directed = induced_edge_orientations(chosen[i])
-            for a, b in sorted(directed, key=lambda d: norm_edge(*d)):
-                e = norm_edge(a, b)
+            for e in sorted(cycle_edges(cells[i])):
+                # whether i's chosen orientation runs along e from e[0] to e[1];
+                # a consistent neighbor runs the other way
+                fwd = _runs(cells[i], e) != flipped[i]
                 for j in incidence[e]:
                     if j == i:
                         continue
-                    want = (b, a)  # the neighbor must traverse e the other way
-                    if j not in chosen:
-                        stored = cells[j]
-                        if want in induced_edge_orientations(stored):
-                            chosen[j] = stored
-                        else:
-                            chosen[j] = (stored[0],) + tuple(reversed(stored[1:]))
+                    runs_j = _runs(cells[j], e)
+                    if j not in flipped:
+                        flipped[j] = runs_j == fwd
                         queue.append(j)
-                    elif want not in induced_edge_orientations(chosen[j]):
-                        return NonOrientable(e, (_smallest_first(chosen[i]), _smallest_first(chosen[j])))
-    return OrientationWitness(tuple(_smallest_first(chosen[i]) for i in range(len(cells))))
-
-
-def cycle_key(cell: tuple[str, ...]) -> list[Edge]:
-    """Undirected boundary edges of an ordered cell."""
-    k = len(cell)
-    return [norm_edge(cell[i], cell[(i + 1) % k]) for i in range(k)]
+                    elif (runs_j != flipped[j]) == fwd:
+                        return NonOrientable(e, (_smallest_first(chosen(i)), _smallest_first(chosen(j))))
+    return OrientationWitness(tuple(_smallest_first(chosen(i)) for i in range(len(cells))))
 
 
 # ---------------------------------------------------------------------
@@ -131,10 +129,8 @@ def orient3(cx: SimplicialComplex) -> OrientationResult:
     tetrahedra.
     """
     tets = cx.tetrahedra()
-    incidence: dict[Simplex, list[int]] = defaultdict(list)
-    for i, t in enumerate(tets):
-        for tri in induced_triangle_parities(t):
-            incidence[tri].append(i)
+    incidence = cx.incidence.triangle_tets
+    parities = [induced_triangle_parities(t) for t in tets]
     # orientation per tetra as a parity sign relative to sorted order
     sign: dict[int, int] = {}
     for start in range(len(tets)):
@@ -144,13 +140,13 @@ def orient3(cx: SimplicialComplex) -> OrientationResult:
         queue = deque([start])
         while queue:
             i = queue.popleft()
-            induced = induced_triangle_parities(tets[i])
+            induced = parities[i]
             for tri in sorted(induced):
                 p = induced[tri] * sign[i]
                 for j in incidence[tri]:
                     if j == i:
                         continue
-                    q = induced_triangle_parities(tets[j])[tri]
+                    q = parities[j][tri]
                     if j not in sign:
                         sign[j] = -p * q  # make the induced parities opposite
                         queue.append(j)

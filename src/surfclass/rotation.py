@@ -11,11 +11,10 @@ all-+ case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 from .classify import SurfaceType, genus
-from .errors import BoundExceeded, Disconnected, ParseError
+from .errors import BoundExceeded, Disconnected, InvariantError, ParseError
 
 Dart = tuple[int, int]  # (vertex index, position in its rotation)
 Flag = tuple[int, int, int]  # dart plus a side bit
@@ -263,21 +262,25 @@ def trace_faces(rs: RotationSystem) -> FaceTrace:
             orbit_of[cur] = len(orbits)
             orbit.append(cur)
             cur = step(cur)
-        assert cur == flag  # orbits of a permutation close where they start
+        if cur != flag:  # orbits of a permutation close where they start
+            raise InvariantError(f"face walk from flag {flag} closes at {cur}")
         orbits.append(orbit)
     # pair each orbit with its mirror image
-    assert len(orbit_of) == len(all_flags)
+    if len(orbit_of) != len(all_flags):
+        raise InvariantError(f"face walks cover {len(orbit_of)} of {len(all_flags)} flags")
     walks = []
     paired: set[int] = set()
     for i, orbit in enumerate(orbits):
         if i in paired:
             continue
         j = orbit_of[mirror(orbit[0])]
-        assert j != i and j not in paired and len(orbits[j]) == len(orbit)
+        if j == i or j in paired or len(orbits[j]) != len(orbit):
+            raise InvariantError(f"face walk {i} has no mirror walk of its length")
         paired.add(i)
         paired.add(j)
         walks.append(tuple(label((v, p)) for v, p, _ in orbit))
-    assert sum(map(len, walks)) == 2 * rs.edge_count()
+    if sum(map(len, walks)) != 2 * rs.edge_count():
+        raise InvariantError("face walks do not traverse every edge twice")
     return FaceTrace(len(walks), tuple(walks))
 
 
@@ -412,14 +415,11 @@ def chord_canonical(code: ChordCode) -> ChordCode:
     """
     if not code:
         return ()
-    k = len(code)
-    best: tuple[int, ...] | None = None
-    for flip, r in product((False, True), range(k)):
-        seq = code[::-1] if flip else code
-        cand = _relabel_first_occurrence(seq[r:] + seq[:r])
-        if best is None or cand < best:
-            best = cand
-    assert best is not None
+    best = min(
+        _relabel_first_occurrence(seq[r:] + seq[:r])
+        for seq in (code, code[::-1])
+        for r in range(len(code))
+    )
     return tuple(str(i) for i in best)
 
 

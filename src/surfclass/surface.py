@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .complexes import Complex, Cycle, Edge, SimplicialComplex, cycle_edges, norm_edge
+from .complexes import Complex, Cycle, Edge, SimplicialComplex, norm_edge
 from .errors import NotLocallyPlanar, NotSurface
 
 INTERIOR = "interior"
@@ -54,16 +54,6 @@ def _require_dim2(cx: Complex) -> None:
         raise NotSurface("complex has 3-dimensional cells")
 
 
-def _edge_faces(cx: Complex) -> dict[Edge, list[int]]:
-    incidence: dict[Edge, list[int]] = defaultdict(list)
-    for i, cell in enumerate(cx.cells2()):
-        for e in cycle_edges(cell):
-            incidence[e].append(i)
-    for e in sorted(cx.edge_set()):
-        incidence.setdefault(e, [])
-    return incidence
-
-
 def edge_check(cx: Complex) -> list[EdgeStatus]:
     """Classify every edge as interior or boundary.
 
@@ -71,14 +61,13 @@ def edge_check(cx: Complex) -> list[EdgeStatus]:
     than two.
     """
     _require_dim2(cx)
-    incidence = _edge_faces(cx)
     out = []
-    for e in sorted(incidence):
-        n = len(incidence[e])
+    for e, cells in cx.incidence.edge_cells.items():
+        n = len(cells)
         if n == 1:
-            out.append(EdgeStatus(e, BOUNDARY, tuple(incidence[e])))
+            out.append(EdgeStatus(e, BOUNDARY, tuple(cells)))
         elif n == 2:
-            out.append(EdgeStatus(e, INTERIOR, tuple(incidence[e])))
+            out.append(EdgeStatus(e, INTERIOR, tuple(cells)))
         else:
             raise NotLocallyPlanar(
                 f"edge {{{e[0]},{e[1]}}} lies in {n} 2-cells",
@@ -86,13 +75,6 @@ def edge_check(cx: Complex) -> list[EdgeStatus]:
                 face_count=n,
             )
     return out
-
-
-def _link_chord(cell: Cycle, v: str) -> Edge:
-    # the two neighbors of v along the face cycle, as one link edge
-    k = len(cell)
-    i = cell.index(v)
-    return norm_edge(cell[i - 1], cell[(i + 1) % k])
 
 
 def vertex_check(cx: Complex, v: str) -> VertexLink:
@@ -105,13 +87,9 @@ def vertex_check(cx: Complex, v: str) -> VertexLink:
     _require_dim2(cx)
     if v not in cx.vertex_set():
         raise ValueError(f"no vertex {v!r} in complex")
-    pool: list[Edge] = []
-    for cell in cx.cells2():
-        if v in cell:
-            pool.append(_link_chord(cell, v))
+    pool = sorted(cx.incidence.chords.get(v, ()))
     if not pool:
         raise NotLocallyPlanar(f"vertex {v} lies in no 2-cell", vertex=v)
-    pool.sort()
     first = pool.pop(0)
     walk = [first[0], first[1]]
 
@@ -159,7 +137,10 @@ def boundary_components(cx: Complex) -> BoundaryDecomposition:
     vertex's smaller boundary neighbor; cycles are listed by smallest
     vertex. Assumes edge_check and vertex_check hold.
     """
-    statuses = edge_check(cx)
+    return _boundary_cycles(edge_check(cx))
+
+
+def _boundary_cycles(statuses: list[EdgeStatus]) -> BoundaryDecomposition:
     adj: dict[str, list[str]] = defaultdict(list)
     unused: set[Edge] = set()
     for st in statuses:
@@ -199,5 +180,5 @@ def is_surface(cx: Complex) -> SurfaceCheck:
     except (NotLocallyPlanar, NotSurface) as exc:
         return SurfaceCheck(False, None, None, exc)
     closed = all(st.status == INTERIOR for st in statuses)
-    b = len(boundary_components(cx).cycles)
+    b = len(_boundary_cycles(statuses).cycles)
     return SurfaceCheck(True, closed, b, None)

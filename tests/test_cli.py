@@ -153,6 +153,20 @@ def test_parse_error_exit_3(capsys, tmp_path):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize(
+    "doc",
+    ['{"faces": 5}', '{"edges": [["1"]]}', '{"faces": [5]}', '{"faces": [["0", "1", ["2"]]]}',
+     '{"edges": [["1", "1"]]}', '{"vertices": "abc"}', '{"simplices": [3]}'],
+)
+def test_malformed_json_shape_exit_3(capsys, tmp_path, doc):
+    p = tmp_path / "bad.json"
+    p.write_text(doc, encoding="utf-8")
+    code, out, err = run(capsys, "classify", str(p))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_missing_file_exit_3(capsys):
     code, _, err = run(capsys, "classify", "no-such-file")
     assert code == 3
