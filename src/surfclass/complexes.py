@@ -155,9 +155,14 @@ class SimplicialComplex:
         )
 
     @cached_property
+    def tet_closure(self) -> frozenset[Simplex]:
+        """Every face of every tetrahedron: the simplices of close(tetrahedra)."""
+        return close(self.tetrahedra()).simplices
+
+    @cached_property
     def loose(self) -> frozenset[Simplex]:
         """The simplices that are no face of a tetrahedron."""
-        return self.simplices - close(self.tetrahedra()).simplices
+        return self.simplices - self.tet_closure
 
     def vertex_set(self) -> frozenset[str]:
         return self.incidence.vertices

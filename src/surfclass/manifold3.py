@@ -73,7 +73,7 @@ def is_3manifold(cx: SimplicialComplex) -> Manifold3Check:
     tets = cx.tetrahedra()
     if not tets:
         return Manifold3Check(False, None, (), NotManifold("complex has no 3-cells"))
-    if cx.simplices != close(tets).simplices:
+    if cx.simplices != cx.tet_closure:
         return Manifold3Check(
             False, None, (),
             NotManifold("complex has cells outside the closure of its tetrahedra"),

@@ -466,41 +466,74 @@ def code_to_permutation(code: ChordCode, start: int = 0) -> tuple[tuple[int, int
     return tuple(sorted(pairs))
 
 
+def _least_in_orbit(code: list[int]) -> bool:
+    """Whether no rotation or reflection of a first-occurrence code reads smaller.
+
+    Each image is relabelled by first occurrence as it is read and is
+    dropped at its first position that differs from the code.
+    """
+    size = len(code)
+    doubled = code + code
+    for seq, starts in ((doubled, range(1, size)), (doubled[::-1], range(size))):
+        for r in starts:
+            names = [0] * (size // 2 + 1)
+            fresh = 1
+            for i in range(size):
+                label = names[seq[r + i]]
+                if not label:
+                    label = names[seq[r + i]] = fresh
+                    fresh += 1
+                if label != code[i]:
+                    if label < code[i]:
+                        return False
+                    break
+    return True
+
+
 def enumerate_chords(
     n: int, genus_filter: int | None = None, bound: int = 8
 ) -> list[ChordCode]:
-    """All chord-diagram classes with n chords, as sorted canonical codes."""
+    """All chord-diagram classes with n chords, as sorted canonical codes.
+
+    Orderly: each matching is written once in first-occurrence form and
+    kept only if it is the least code of its dihedral orbit.
+    """
     if n < 0:
         raise ValueError("chord count must be nonnegative")
     if n > bound:
         raise BoundExceeded(f"n={n} exceeds the enumeration bound {bound}")
-    if n == 0:
-        out: list[ChordCode] = [()]
-    else:
-        size = 2 * n
-        seen: set[ChordCode] = set()
-        code: list[str | None] = [None] * size
+    size = 2 * n
+    code = [0] * size
+    mate = [0] * size
+    out: list[tuple[int, ...]] = []
 
-        def fill(next_label: int) -> None:
-            try:
-                i = code.index(None)
-            except ValueError:
-                seen.add(chord_canonical(tuple(code)))  # type: ignore[arg-type]
-                return
-            code[i] = str(next_label)
-            for j in range(i + 1, size):
-                if code[j] is None:
-                    code[j] = str(next_label)
-                    fill(next_label + 1)
-                    code[j] = None
-            code[i] = None
+    def genus() -> int:
+        # the faces of the one-vertex map are the cycles of p -> mate(p + 1)
+        seen = [False] * size
+        faces = 0
+        for p in range(size):
+            if not seen[p]:
+                faces += 1
+                while not seen[p]:
+                    seen[p] = True
+                    p = mate[(p + 1) % size]
+        return (n + 1 - faces) // 2  # floor: the empty diagram has one face
 
-        fill(1)
-        out = sorted(seen, key=lambda c: tuple(map(int, c)))
-    if genus_filter is not None:
-        out = [
-            c
-            for c in out
-            if classify_embedding(chord_to_rotation(c)).genus == genus_filter
-        ]
-    return out
+    def fill(label: int) -> None:
+        try:
+            i = code.index(0)
+        except ValueError:
+            if _least_in_orbit(code) and genus_filter in (None, genus()):
+                out.append(tuple(code))
+            return
+        code[i] = label
+        for j in range(i + 1, size):
+            if not code[j]:
+                code[j] = label
+                mate[i], mate[j] = j, i
+                fill(label + 1)
+                code[j] = 0
+        code[i] = 0
+
+    fill(1)
+    return [tuple(map(str, c)) for c in sorted(out)]

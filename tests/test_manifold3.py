@@ -6,6 +6,7 @@ import pytest
 
 from surfclass import (
     NotManifold,
+    SimplicialComplex,
     SurfaceType,
     close,
     face_check3,
@@ -13,6 +14,7 @@ from surfclass import (
     is_sphere,
     vertex_link3,
 )
+from surfclass import complexes, manifold3
 
 SINGLE_TETRA = close([("0", "1", "2", "3")])
 D4_BOUNDARY = close([tuple(sorted(t)) for t in itertools.combinations("01234", 4)])
@@ -99,3 +101,30 @@ def test_rejects_edge_pinch():
     cx = close([("0", "1", "2", "3"), ("0", "1", "4", "5")])
     chk = is_3manifold(cx)
     assert not chk.manifold
+
+
+def test_rejects_tetrahedron_without_its_faces():
+    # the dataclass does not enforce face closure, so the closure check
+    # must compare both ways: here nothing is loose, but faces are missing
+    cx = SimplicialComplex(frozenset({("0", "1", "2", "3")}))
+    assert cx.loose == frozenset()
+    chk = is_3manifold(cx)
+    assert not chk.manifold
+    assert "closure" in str(chk.defect)
+
+
+def test_is_3manifold_closes_the_tetrahedra_once(monkeypatch):
+    cx = close([("0", "1", "2", "3"), ("0", "1", "2", "4")])
+    tets = cx.tetrahedra()
+    calls = []
+    real = complexes.close
+
+    def counting_close(simplices):
+        simplices = list(simplices)
+        calls.append(simplices)
+        return real(simplices)
+
+    monkeypatch.setattr(complexes, "close", counting_close)
+    monkeypatch.setattr(manifold3, "close", counting_close)
+    assert is_3manifold(cx).manifold
+    assert [c for c in calls if c == list(tets)] == [list(tets)]
