@@ -7,6 +7,8 @@ with edge signs, and chord diagrams.  A small, bounded amount of
 3-manifold checking is included for simplicial 3-complexes.
 """
 
+from types import ModuleType as _ModuleType
+
 from .catalog import Fixture, catalog_get, catalog_list
 from .classify import (
     SurfaceType,
@@ -123,102 +125,8 @@ from .surface import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BOUNDARY",
-    "BoundExceeded",
-    "BoundaryDecomposition",
-    "CWComplex2",
-    "Complex",
-    "ComponentPartition",
-    "Disconnected",
-    "EdgeStatus",
-    "EmptyComplex",
-    "FaceTrace",
-    "Fixture",
-    "INTERIOR",
-    "InvalidSurface",
-    "Letter",
-    "MalformedFace",
-    "MalformedWord",
-    "Manifold3Check",
-    "NonOrientable",
-    "NotIsomorphism",
-    "NotLocallyPlanar",
-    "NotManifold",
-    "NotRegular",
-    "NotSurface",
-    "OrientationWitness",
-    "ParseError",
-    "RotationSystem",
-    "SLWGraph",
-    "SLWSurfaceCheck",
-    "SimplicialComplex",
-    "SizeMismatch",
-    "SurfaceCheck",
-    "SurfaceType",
-    "TopologyError",
-    "TriangleStatus",
-    "UnknownFixture",
-    "UnsupportedDimension",
-    "VertexLink",
-    "WordList",
-    "boundary_components",
-    "catalog_get",
-    "catalog_list",
-    "chord_canonical",
-    "chord_isomorphic",
-    "chord_text",
-    "chord_to_rotation",
-    "classify_component",
-    "classify_embedding",
-    "classify_slw",
-    "classify_surface",
-    "close",
-    "code_to_permutation",
-    "component_subcomplexes",
-    "components",
-    "cw_complex",
-    "edge_check",
-    "enumerate_chords",
-    "euler_characteristic",
-    "extends_to_homeomorphism",
-    "face_check3",
-    "genus",
-    "induced_edge_orientations",
-    "induced_subcomplex",
-    "induced_triangle_parities",
-    "is_3manifold",
-    "is_connected",
-    "is_disk",
-    "is_sphere",
-    "is_surface",
-    "list_equivalent",
-    "orient2",
-    "orient3",
-    "parse_chord_code",
-    "parse_complex",
-    "parse_cw2",
-    "parse_rotation",
-    "parse_simplicial",
-    "parse_slw",
-    "permutation_to_code",
-    "relabel",
-    "rotation_system",
-    "rs_orientable",
-    "serialize_rotation",
-    "skeleton1",
-    "slw_equivalent",
-    "slw_euler",
-    "slw_from_complex",
-    "slw_graph",
-    "slw_surface_check",
-    "slw_to_text",
-    "to_json_obj",
-    "to_text",
-    "trace_faces",
-    "vertex_check",
-    "vertex_link3",
-    "word_equivalent",
-    "word_list",
-    "word_reverse",
-]
+# every public name imported above; the submodules bound by those imports are not exported
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -130,10 +130,7 @@ def _cmd_surface_check(args) -> int:
 
 def _cmd_orient(args) -> int:
     cx = parse_complex(_read(args.file), fmt=args.input)
-    if getattr(cx, "tetrahedra", lambda: ())():
-        res = orient3(cx)
-    else:
-        res = orient2(cx)
+    res = orient3(cx) if cx.tetrahedra() else orient2(cx)
     if isinstance(res, NonOrientable):
         kind = "edge" if len(res.conflict) == 2 else "triangle"
         line = f"non-orientable (conflict on {kind} {_edge_text(res.conflict)})"

@@ -190,9 +190,13 @@ class SimplicialComplex:
 
 def close(simplices: Iterable[Iterable[str]]) -> SimplicialComplex:
     """Face closure: add every nonempty subset of every given simplex."""
+    return _closure(map(simplex, simplices))
+
+
+def _closure(tops: Iterable[Simplex]) -> SimplicialComplex:
+    # the faces of simplices that simplex() has already normalized
     out: set[Simplex] = set()
-    for raw in simplices:
-        top = simplex(raw)
+    for top in tops:
         for k in range(1, len(top) + 1):
             out.update(combinations(top, k))
     return SimplicialComplex(frozenset(out))
@@ -229,6 +233,10 @@ class CWComplex2:
     def cells2(self) -> tuple[Cycle, ...]:
         return self.faces
 
+    def tetrahedra(self) -> tuple[Simplex, ...]:
+        """Always empty: a CW 2-complex has no 3-cells."""
+        return self.incidence.tetrahedra
+
     def dim(self) -> int:
         if self.faces:
             return 2
@@ -240,20 +248,23 @@ class CWComplex2:
         return (len(self.vertices), len(self.edges), len(self.faces))
 
 
+def _face_cycle(vertices: Iterable[str], line: int | None = None) -> Cycle:
+    """Check a face cycle: at least 3 vertices, none repeated."""
+    cyc = tuple(str(v) for v in vertices)
+    if len(cyc) < 3:
+        raise MalformedFace(f"face cycle {' '.join(cyc)} has fewer than 3 vertices", line)
+    if len(set(cyc)) != len(cyc):
+        raise NotRegular(f"face cycle {' '.join(cyc)} repeats a vertex", line)
+    return cyc
+
+
 def cw_complex(
     faces: Iterable[Iterable[str]],
     extra_edges: Iterable[tuple[str, str]] = (),
     extra_vertices: Iterable[str] = (),
 ) -> CWComplex2:
     """Build a CW 2-complex from face cycles plus optional loose cells."""
-    canon_faces = []
-    for raw in faces:
-        cyc = tuple(str(v) for v in raw)
-        if len(cyc) < 3:
-            raise MalformedFace(f"face cycle {' '.join(cyc)} has fewer than 3 vertices")
-        if len(set(cyc)) != len(cyc):
-            raise NotRegular(f"face cycle {' '.join(cyc)} repeats a vertex")
-        canon_faces.append(canonical_cycle(cyc))
+    canon_faces = [canonical_cycle(_face_cycle(raw)) for raw in faces]
     edges: set[Edge] = set()
     for cyc in canon_faces:
         edges.update(cycle_edges(cyc))
@@ -288,16 +299,10 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
 
 def parse_simplicial(text: str) -> SimplicialComplex:
     """Parse the one-simplex-per-line text format and take the closure."""
-    tops = []
-    for no, line in _content_lines(text):
-        tops.append(simplex(line.split(), no))
+    tops = [simplex(line.split(), no) for no, line in _content_lines(text)]
     if not tops:
         raise ParseError("empty input: no simplices")
-    out: set[Simplex] = set()
-    for top in tops:
-        for k in range(1, len(top) + 1):
-            out.update(combinations(top, k))
-    return SimplicialComplex(frozenset(out))
+    return _closure(tops)
 
 
 def parse_cw2(text: str) -> CWComplex2:
@@ -309,12 +314,7 @@ def parse_cw2(text: str) -> CWComplex2:
     for no, line in _content_lines(text):
         seen = True
         if line.startswith("F:"):
-            cyc = tuple(line[2:].split())
-            if len(cyc) < 3:
-                raise MalformedFace(f"face cycle {' '.join(cyc)} has fewer than 3 vertices", no)
-            if len(set(cyc)) != len(cyc):
-                raise NotRegular(f"face cycle {' '.join(cyc)} repeats a vertex", no)
-            faces.append(cyc)
+            faces.append(_face_cycle(line[2:].split(), no))
         elif line.startswith("E:"):
             ends = line[2:].split()
             if len(ends) != 2 or ends[0] == ends[1]:
@@ -333,8 +333,10 @@ def parse_cw2(text: str) -> CWComplex2:
 
 
 def _json_labels(raw: object, what: str) -> tuple[str, ...]:
-    # vertex labels may be JSON strings or numbers
-    if not isinstance(raw, list) or not all(isinstance(v, (str, int, float)) for v in raw):
+    # vertex labels may be JSON strings or numbers, not booleans (bool is an int)
+    if not isinstance(raw, list) or not all(
+        isinstance(v, (str, int, float)) and not isinstance(v, bool) for v in raw
+    ):
         raise ParseError(f"{what} must be a list of vertex labels, got {json.dumps(raw)}")
     return tuple(str(v) for v in raw)
 
@@ -379,10 +381,11 @@ def parse_complex(text: str, fmt: str = "auto") -> Complex:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
-            obj = json.loads(text)
+            return _parse_json_obj(json.loads(text))
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad JSON: {exc}") from None
-        return _parse_json_obj(obj)
+        except RecursionError:  # from decoding, or from quoting a bad value in a message
+            raise ParseError("bad JSON: nested too deeply") from None
     if fmt == "scx":
         return parse_simplicial(text)
     if fmt == "cw2":

@@ -11,10 +11,10 @@ dimension up for tetrahedra, where the shared cells are triangles.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .complexes import Complex, Edge, SimplicialComplex, Simplex, cycle_edges
+from .connectivity import two_colour
 
 
 @dataclass(frozen=True)
@@ -60,33 +60,26 @@ def orient2(cx: Complex) -> OrientationResult:
     """
     cells = cx.cells2()
     incidence = cx.incidence.edge_cells
-    flipped: dict[int, bool] = {}  # cell index -> reversed against its stored cycle
+
+    def arcs(i: int):
+        # a neighbor running along the shared edge the same way must flip
+        cell = cells[i]
+        for e in sorted(cycle_edges(cell)):
+            runs = _runs(cell, e)
+            for j in incidence[e]:
+                if j != i:
+                    yield e, j, _runs(cells[j], e) == runs
+
+    flipped, conflict = two_colour(len(cells), arcs)
 
     def chosen(i: int) -> tuple[str, ...]:
         cell = cells[i]
-        return (cell[0],) + tuple(reversed(cell[1:])) if flipped[i] else cell
+        return _smallest_first((cell[0],) + tuple(reversed(cell[1:])) if flipped[i] else cell)
 
-    for start in range(len(cells)):
-        if start in flipped:
-            continue
-        flipped[start] = False
-        queue = deque([start])
-        while queue:
-            i = queue.popleft()
-            for e in sorted(cycle_edges(cells[i])):
-                # whether i's chosen orientation runs along e from e[0] to e[1];
-                # a consistent neighbor runs the other way
-                fwd = _runs(cells[i], e) != flipped[i]
-                for j in incidence[e]:
-                    if j == i:
-                        continue
-                    runs_j = _runs(cells[j], e)
-                    if j not in flipped:
-                        flipped[j] = runs_j == fwd
-                        queue.append(j)
-                    elif (runs_j != flipped[j]) == fwd:
-                        return NonOrientable(e, (_smallest_first(chosen(i)), _smallest_first(chosen(j))))
-    return OrientationWitness(tuple(_smallest_first(chosen(i)) for i in range(len(cells))))
+    if conflict is not None:
+        i, j, e = conflict
+        return NonOrientable(e, (chosen(i), chosen(j)))
+    return OrientationWitness(tuple(chosen(i) for i in range(len(cells))))
 
 
 # ---------------------------------------------------------------------
@@ -131,31 +124,21 @@ def orient3(cx: SimplicialComplex) -> OrientationResult:
     tets = cx.tetrahedra()
     incidence = cx.incidence.triangle_tets
     parities = [induced_triangle_parities(t) for t in tets]
-    # orientation per tetra as a parity sign relative to sorted order
-    sign: dict[int, int] = {}
-    for start in range(len(tets)):
-        if start in sign:
-            continue
-        sign[start] = 1
-        queue = deque([start])
-        while queue:
-            i = queue.popleft()
-            induced = parities[i]
-            for tri in sorted(induced):
-                p = induced[tri] * sign[i]
-                for j in incidence[tri]:
-                    if j == i:
-                        continue
-                    q = parities[j][tri]
-                    if j not in sign:
-                        sign[j] = -p * q  # make the induced parities opposite
-                        queue.append(j)
-                    elif sign[j] * q != -p:
-                        return NonOrientable(
-                            tri, (_oriented_tetra(tets[i], sign[i]), _oriented_tetra(tets[j], sign[j]))
-                        )
-    return OrientationWitness(tuple(_oriented_tetra(tets[i], sign[i]) for i in range(len(tets))))
+
+    def arcs(i: int):
+        # a neighbor inducing the same parity on the shared triangle must flip
+        induced = parities[i]
+        for tri in sorted(induced):
+            for j in incidence[tri]:
+                if j != i:
+                    yield tri, j, parities[j][tri] == induced[tri]
+
+    flipped, conflict = two_colour(len(tets), arcs)
+    if conflict is not None:
+        i, j, tri = conflict
+        return NonOrientable(tri, (_oriented_tetra(tets[i], flipped[i]), _oriented_tetra(tets[j], flipped[j])))
+    return OrientationWitness(tuple(_oriented_tetra(t, f) for t, f in zip(tets, flipped)))
 
 
-def _oriented_tetra(t: Simplex, s: int) -> tuple[str, ...]:
-    return t if s == 1 else t[:2] + (t[3], t[2])
+def _oriented_tetra(t: Simplex, flipped: bool) -> tuple[str, ...]:
+    return t[:2] + (t[3], t[2]) if flipped else t

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .classify import SurfaceType, genus
+from .connectivity import classes, two_colour
 from .errors import BoundExceeded, Disconnected, InvariantError, ParseError
 
 Dart = tuple[int, int]  # (vertex index, position in its rotation)
@@ -284,81 +285,39 @@ def trace_faces(rs: RotationSystem) -> FaceTrace:
     return FaceTrace(len(walks), tuple(walks))
 
 
-def _vertex_adjacency(rs: RotationSystem) -> dict[int, set[int]]:
+def _require_connected(rs: RotationSystem) -> dict[str, list[int]]:
+    """Raise Disconnected unless the graph is connected; return each edge's end vertices."""
+    if not rs.rotations:
+        raise Disconnected("rotation system has no vertices")
     ends: dict[str, list[int]] = {}
     for v, vertex in enumerate(rs.rotations):
         for label in vertex:
             ends.setdefault(label, []).append(v)
-    adj: dict[int, set[int]] = {v: set() for v in range(len(rs.rotations))}
-    for a, b in ends.values():
-        adj[a].add(b)
-        adj[b].add(a)
-    return adj
-
-
-def _require_connected(rs: RotationSystem) -> None:
-    if not rs.rotations:
-        raise Disconnected("rotation system has no vertices")
-    adj = _vertex_adjacency(rs)
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != len(rs.rotations):
+    if len(classes(range(len(rs.rotations)), ends.values())) != 1:
         raise Disconnected("the underlying graph is disconnected")
+    return ends
 
 
 def rs_orientable(rs: RotationSystem) -> bool:
     """Signed-graph balance: can vertex flips make every sign +?
 
-    A - loop is immediately non-orientable; otherwise the system is
-    orientable iff every cycle carries an even number of - edges.
+    The system is orientable iff every cycle carries an even number of
+    - edges; a - loop is such a cycle on its own.
     """
-    _require_connected(rs)
     sign = rs.sign_map()
-    ends: dict[str, list[int]] = {}
-    for v, vertex in enumerate(rs.rotations):
-        for label in vertex:
-            ends.setdefault(label, []).append(v)
-    edges = []
-    for label, (a, b) in ends.items():
-        if a == b:
-            if sign[label] < 0:
-                return False
-        else:
-            edges.append((a, b, sign[label]))
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(len(rs.rotations))}
-    for a, b, s in edges:
-        adj[a].append((b, s))
-        adj[b].append((a, s))
-    colors: dict[int, int] = {}
-    for start in range(len(rs.rotations)):
-        if start in colors:
-            continue
-        colors[start] = 1
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w, s in adj[v]:
-                want = colors[v] * s
-                if w not in colors:
-                    colors[w] = want
-                    stack.append(w)
-                elif colors[w] != want:
-                    return False
-    return True
+    arcs: list[list[tuple[str, int, bool]]] = [[] for _ in rs.rotations]
+    for label, (a, b) in _require_connected(rs).items():
+        arcs[a].append((label, b, sign[label] < 0))
+        if b != a:
+            arcs[b].append((label, a, sign[label] < 0))
+    return two_colour(len(arcs), arcs.__getitem__)[1] is None
 
 
 def classify_embedding(rs: RotationSystem) -> SurfaceType:
     """Closed-surface type of the embedding: genus from chi = V - E + F."""
-    _require_connected(rs)
+    orientable = rs_orientable(rs)  # raises Disconnected first
     f = trace_faces(rs).faces
     chi = rs.vertex_count() - rs.edge_count() + f
-    orientable = rs_orientable(rs)
     return SurfaceType(orientable, genus(chi, orientable, 0), 0, chi)
 
 

@@ -24,6 +24,7 @@ from .errors import (
     SizeMismatch,
 )
 from .complexes import Complex, _content_lines, norm_edge
+from .connectivity import classes, two_colour
 
 
 class Letter(NamedTuple):
@@ -389,33 +390,19 @@ def _corner_classes(s: SLWGraph) -> dict[str, int]:
     welds the arrival end of the first arc to the departure end of the
     second at their shared vertex.
     """
-    parent: dict[tuple[str, str], tuple[str, str]] = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    darts_at: dict[str, list[tuple[str, str]]] = defaultdict(list)
+    darts = [(label, end) for label in s.labels() for end in ("tail", "head")]
+    welds = [
+        ((letter.edge, "head" if letter.exp == 1 else "tail"), (nxt.edge, "tail" if nxt.exp == 1 else "head"))
+        for wl in s.lists
+        for w in wl.words
+        for letter, nxt in zip(w, w[1:] + w[:1])
+    ]
+    class_of = {d: k for k, cls in enumerate(classes(darts, welds)) for d in cls}
+    at: dict[str, set[int]] = {v: set() for v in s.vertices}
     for label, tail, head in s.edges:
-        for dart in ((label, "tail"), (label, "head")):
-            parent[dart] = dart
-        darts_at[tail].append((label, "tail"))
-        darts_at[head].append((label, "head"))
-    for wl in s.lists:
-        for w in wl.words:
-            for i, letter in enumerate(w):
-                nxt = w[(i + 1) % len(w)]
-                arrive = (letter.edge, "head" if letter.exp == 1 else "tail")
-                depart = (nxt.edge, "tail" if nxt.exp == 1 else "head")
-                union(arrive, depart)
-    return {v: len({find(d) for d in darts_at[v]}) for v in s.vertices}
+        at[tail].add(class_of[(label, "tail")])
+        at[head].add(class_of[(label, "head")])
+    return {v: len(ks) for v, ks in at.items()}
 
 
 def slw_surface_check(s: SLWGraph) -> SLWSurfaceCheck:
@@ -437,56 +424,29 @@ def slw_euler(s: SLWGraph) -> int:
 
 
 def _slw_components(s: SLWGraph) -> int:
+    emap = s.edge_map()
     nodes: list[object] = [("v", v) for v in s.vertices]
     nodes.extend(("list", i) for i in range(len(s.lists)))
-    parent = {x: x for x in nodes}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    emap = s.edge_map()
-    for _, tail, head in s.edges:
-        union(("v", tail), ("v", head))
-    for i, wl in enumerate(s.lists):
-        for w in wl.words:
-            for letter in w:
-                union(("list", i), ("v", emap[letter.edge][0]))
-    return len({find(x) for x in nodes})
+    pairs: list[tuple[object, object]] = [(("v", tail), ("v", head)) for _, tail, head in s.edges]
+    pairs.extend(
+        (("list", i), ("v", emap[letter.edge][0]))
+        for i, wl in enumerate(s.lists)
+        for w in wl.words
+        for letter in w
+    )
+    return len(classes(nodes, pairs))
 
 
 def _boundary_circles(s: SLWGraph, counts: Counter[str]) -> int:
     """Circles formed by the once-covered edges (the free boundary)."""
-    free = [label for label in s.labels() if counts[label] == 1]
-    if not free:
-        return 0
-    parent = {label: label for label in free}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    emap = s.edge_map()
+    free = [label for label, _, _ in s.edges if counts[label] == 1]
     at_vertex: dict[str, list[str]] = defaultdict(list)
-    for label in free:
-        tail, head = emap[label]
-        at_vertex[tail].append(label)
-        at_vertex[head].append(label)
-    for labels in at_vertex.values():
-        for other in labels[1:]:
-            ra, rb = find(labels[0]), find(other)
-            if ra != rb:
-                parent[ra] = rb
-    return len({find(label) for label in free})
+    for label, tail, head in s.edges:
+        if counts[label] == 1:
+            at_vertex[tail].append(label)
+            at_vertex[head].append(label)
+    pairs = [(labels[0], other) for labels in at_vertex.values() for other in labels[1:]]
+    return len(classes(free, pairs))
 
 
 def _orientable_gluing(s: SLWGraph) -> bool:
@@ -503,34 +463,15 @@ def _orientable_gluing(s: SLWGraph) -> bool:
         for w in wl.words:
             for letter in w:
                 hits[letter.edge].append((i, letter.exp))
-    constraints: dict[int, list[tuple[int, int]]] = defaultdict(list)
-    for occ in hits.values():
-        if len(occ) != 2:
-            continue
-        (i, x), (j, y) = occ
-        if i == j:
-            if x != -y:
-                return False
-        else:
-            # required sign product of the two strata
-            constraints[i].append((j, -x * y))
-            constraints[j].append((i, -x * y))
-    sign: dict[int, int] = {}
-    for start in range(len(s.lists)):
-        if start in sign:
-            continue
-        sign[start] = 1
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j, r in constraints[i]:
-                want = sign[i] * r
-                if j not in sign:
-                    sign[j] = want
-                    stack.append(j)
-                elif sign[j] != want:
-                    return False
-    return True
+    arcs: list[list[tuple[str, int, bool]]] = [[] for _ in s.lists]
+    for label, occ in hits.items():
+        if len(occ) == 2:
+            # two traversals the same way cancel only if one stratum is reversed
+            (i, x), (j, y) = occ
+            arcs[i].append((label, j, x == y))
+            if j != i:
+                arcs[j].append((label, i, x == y))
+    return two_colour(len(arcs), arcs.__getitem__)[1] is None
 
 
 def classify_slw(s: SLWGraph) -> SurfaceType:

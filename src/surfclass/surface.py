@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .complexes import Complex, Cycle, Edge, SimplicialComplex, norm_edge
+from .complexes import Complex, Cycle, Edge, norm_edge
 from .errors import NotLocallyPlanar, NotSurface
 
 INTERIOR = "interior"
@@ -50,7 +50,7 @@ class SurfaceCheck:
 
 
 def _require_dim2(cx: Complex) -> None:
-    if isinstance(cx, SimplicialComplex) and cx.tetrahedra():
+    if cx.tetrahedra():
         raise NotSurface("complex has 3-dimensional cells")
 
 

@@ -128,6 +128,23 @@ def test_classify3(capsys, tmp_path):
     assert out.splitlines()[0] == "3-manifold: no"
 
 
+@pytest.mark.parametrize(
+    "name, text",
+    [("sphere.cw2", "F: 0 1 2\nF: 0 1 3\nF: 0 2 3\nF: 1 2 3\n"),
+     ("sphere.json", '{"faces": [["0", "1", "2"], ["0", "1", "3"], ["0", "2", "3"], ["1", "2", "3"]]}'),
+     ("edge.cw2", "E: 0 1\n"), ("vertex.cw2", "V: 0\n")],
+    ids=["cw2", "json", "edge", "vertex"],
+)
+def test_classify3_on_cw_input_is_a_verdict(capsys, tmp_path, name, text):
+    p = tmp_path / name
+    p.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "classify3", str(p))
+    assert (code, out, err) == (4, "3-manifold: no\nreason: complex has no 3-cells\n", "")
+    code, out, _ = run(capsys, "classify3", str(p), "--format", "json")
+    assert code == 4
+    assert json.loads(out) == {"manifold": False, "reason": "complex has no 3-cells"}
+
+
 def test_stdin_input(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("0 1 2\n0 1 3\n"))
     code, out, _ = run(capsys, "classify", "-")
@@ -156,7 +173,8 @@ def test_parse_error_exit_3(capsys, tmp_path):
 @pytest.mark.parametrize(
     "doc",
     ['{"faces": 5}', '{"edges": [["1"]]}', '{"faces": [5]}', '{"faces": [["0", "1", ["2"]]]}',
-     '{"edges": [["1", "1"]]}', '{"vertices": "abc"}', '{"simplices": [3]}'],
+     '{"edges": [["1", "1"]]}', '{"vertices": "abc"}', '{"simplices": [3]}',
+     '{"simplices": [[1, 2, true]]}', '{"faces": [["0", "1", false]]}'],
 )
 def test_malformed_json_shape_exit_3(capsys, tmp_path, doc):
     p = tmp_path / "bad.json"
