@@ -10,6 +10,9 @@ Exit codes: 0 a verdict was computed (even a negative one such as
 "non-orientable"), 2 usage or unknown name or bound exceeded, 3 parse
 error, 4 the input is not a surface / manifold / nonempty complex
 (the partial verdict is still printed).
+
+Each subcommand handler returns its text lines, its JSON object and its
+exit code; ``main`` is the only code that writes them out.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import sys
 
 from .catalog import Fixture, catalog_get, catalog_list
 from .classify import SurfaceType, classify_surface
-from .complexes import parse_complex, to_text
+from .complexes import Complex, parse_complex, to_text
 from .connectivity import components
 from .errors import (
     BoundExceeded,
@@ -51,6 +54,14 @@ from .surface import is_surface
 
 # raised by verdict-bearing failures; the CLI prints and exits 4
 _VERDICT_ERRORS = (NotSurface, NotManifold, NotLocallyPlanar, Disconnected, EmptyComplex)
+# exit codes of the other failures, first match wins; the message goes to stderr
+_ERROR_EXITS = (
+    (ParseError, 3),
+    ((UnknownFixture, BoundExceeded, ValueError), 2),
+    (TopologyError, 4),
+)
+
+Output = tuple[list[str], dict, int]  # text lines, JSON object, exit code
 
 
 def _read(path: str) -> str:
@@ -63,12 +74,8 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None
 
 
-def _emit(args, text_lines: list[str], obj: dict) -> None:
-    if args.format == "json":
-        print(json.dumps(obj, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
+def _complex(args) -> Complex:
+    return parse_complex(_read(args.file), fmt=args.input)
 
 
 def _type_obj(t: SurfaceType) -> dict:
@@ -90,158 +97,126 @@ def _edge_text(e: tuple[str, ...]) -> str:
     return "{" + ",".join(e) + "}"
 
 
+def _refused(label: str, key: str, defect: Exception | None) -> Output:
+    return [f"{label}: no", f"reason: {defect}"], {key: False, "reason": str(defect)}, 4
+
+
 # ---------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------
 
 
-def _cmd_components(args) -> int:
-    cx = parse_complex(_read(args.file), fmt=args.input)
-    part = components(cx)
+def _cmd_components(args) -> Output:
+    part = components(_complex(args))
     lines = [f"{part.count()} components"]
-    for i, comp in enumerate(part.components):
-        lines.append(f"component {i}: " + " ".join(comp))
-    _emit(args, lines, {"count": part.count(), "components": [list(c) for c in part.components]})
-    return 0
+    lines += [f"component {i}: " + " ".join(comp) for i, comp in enumerate(part.components)]
+    return lines, {"count": part.count(), "components": [list(c) for c in part.components]}, 0
 
 
-def _cmd_surface_check(args) -> int:
-    cx = parse_complex(_read(args.file), fmt=args.input)
-    chk = is_surface(cx)
+def _cmd_surface_check(args) -> Output:
+    chk = is_surface(_complex(args))
     if not chk.surface:
-        _emit(
-            args,
-            ["surface: no", f"reason: {chk.defect}"],
-            {"surface": False, "reason": str(chk.defect)},
-        )
-        return 4
+        return _refused("surface", "surface", chk.defect)
     lines = [
         "surface: yes",
         f"closed: {'yes' if chk.closed else 'no'}",
         f"boundary components: {chk.boundary_count}",
     ]
-    _emit(
-        args,
-        lines,
-        {"surface": True, "closed": chk.closed, "boundary_components": chk.boundary_count},
-    )
-    return 0
+    obj = {"surface": True, "closed": chk.closed, "boundary_components": chk.boundary_count}
+    return lines, obj, 0
 
 
-def _cmd_orient(args) -> int:
-    cx = parse_complex(_read(args.file), fmt=args.input)
-    res = orient3(cx) if cx.tetrahedra() else orient2(cx)
+def _cmd_orient(args) -> Output:
+    # orient2/orient3 assume at most two 2-cells on an edge, two tetrahedra on a triangle
+    cx = _complex(args)
+    if cx.tetrahedra():
+        for tri, tets in cx.incidence.triangle_tets.items():
+            if len(tets) > 2:
+                raise NotManifold(
+                    f"triangle {' '.join(tri)} lies in {len(tets)} tetrahedra",
+                    triangle=tri,
+                    count=len(tets),
+                )
+        res = orient3(cx)
+    else:
+        for e, cells in cx.incidence.edge_cells.items():
+            if len(cells) > 2:
+                raise NotLocallyPlanar(
+                    f"edge {_edge_text(e)} lies in {len(cells)} 2-cells",
+                    edge=e,
+                    face_count=len(cells),
+                )
+        res = orient2(cx)
+    cells = [list(c) for c in res.cells]
     if isinstance(res, NonOrientable):
         kind = "edge" if len(res.conflict) == 2 else "triangle"
         line = f"non-orientable (conflict on {kind} {_edge_text(res.conflict)})"
-        _emit(
-            args,
-            [line],
-            {
-                "orientable": False,
-                "conflict": list(res.conflict),
-                "cells": [list(c) for c in res.cells],
-            },
-        )
-        return 0
+        return [line], {"orientable": False, "conflict": list(res.conflict), "cells": cells}, 0
     lines = ["orientable"] + [" ".join(cell) for cell in res.cells]
-    _emit(args, lines, {"orientable": True, "cells": [list(c) for c in res.cells]})
-    return 0
+    return lines, {"orientable": True, "cells": cells}, 0
 
 
-def _cmd_classify(args) -> int:
-    cx = parse_complex(_read(args.file), fmt=args.input)
-    types = classify_surface(cx)
+def _cmd_classify(args) -> Output:
+    types = classify_surface(_complex(args))
     if len(types) == 1:
         lines = [_type_line(types[0])]
     else:
         lines = [f"component {i}: {_type_line(t)}" for i, t in enumerate(types)]
-    _emit(args, lines, {"components": [_type_obj(t) for t in types]})
-    return 0
+    return lines, {"components": [_type_obj(t) for t in types]}, 0
 
 
-def _cmd_classify3(args) -> int:
-    cx = parse_complex(_read(args.file), fmt=args.input)
-    chk = is_3manifold(cx)
+def _cmd_classify3(args) -> Output:
+    chk = is_3manifold(_complex(args))
     if not chk.manifold:
-        _emit(
-            args,
-            ["3-manifold: no", f"reason: {chk.defect}"],
-            {"manifold": False, "reason": str(chk.defect)},
-        )
-        return 4
+        return _refused("3-manifold", "manifold", chk.defect)
     names = [t.name() for t in chk.boundary]
     lines = [
         "3-manifold: yes",
         f"closed: {'yes' if chk.closed else 'no'}",
         "boundary: " + (" ".join(names) if names else "none"),
     ]
-    _emit(
-        args,
-        lines,
-        {"manifold": True, "closed": chk.closed, "boundary": [_type_obj(t) for t in chk.boundary]},
-    )
-    return 0
+    boundary = [_type_obj(t) for t in chk.boundary]
+    return lines, {"manifold": True, "closed": chk.closed, "boundary": boundary}, 0
 
 
-def _cmd_slw_equiv(args) -> int:
+def _cmd_slw_equiv(args) -> Output:
     s1 = parse_slw(_read(args.file1))
     s2 = parse_slw(_read(args.file2))
     try:
         wit = slw_equivalent(s1, s2)
     except SizeMismatch as exc:
-        _emit(
-            args,
-            [f"not equivalent ({exc})"],
-            {"equivalent": False, "reason": str(exc)},
-        )
-        return 0
+        return [f"not equivalent ({exc})"], {"equivalent": False, "reason": str(exc)}, 0
     if wit is None:
-        _emit(args, ["not equivalent"], {"equivalent": False})
-        return 0
+        return ["not equivalent"], {"equivalent": False}, 0
     lines = ["equivalent"] + [f"{a} -> {wit[a]}" for a in sorted(wit)]
-    _emit(args, lines, {"equivalent": True, "witness": wit})
-    return 0
+    return lines, {"equivalent": True, "witness": wit}, 0
 
 
-def _cmd_slw_classify(args) -> int:
-    s = parse_slw(_read(args.file))
-    t = classify_slw(s)
-    _emit(args, [_type_line(t)], {"components": [_type_obj(t)]})
-    return 0
+def _cmd_slw_classify(args) -> Output:
+    t = classify_slw(parse_slw(_read(args.file)))
+    return [_type_line(t)], {"components": [_type_obj(t)]}, 0
 
 
-def _cmd_rot_classify(args) -> int:
+def _cmd_rot_classify(args) -> Output:
     src = args.rotation
-    text = src if "{" in src else _read(src)
-    rs = parse_rotation(text)
-    t = classify_embedding(rs)
-    _emit(args, [_type_line(t)], {"components": [_type_obj(t)]})
-    return 0
+    t = classify_embedding(parse_rotation(src if "{" in src else _read(src)))
+    return [_type_line(t)], {"components": [_type_obj(t)]}, 0
 
 
-def _cmd_chord_canon(args) -> int:
-    code = parse_chord_code(args.code)
-    canon = chord_canonical(code)
-    _emit(args, [chord_text(canon)], {"canonical": chord_text(canon)})
-    return 0
+def _cmd_chord_canon(args) -> Output:
+    canon = chord_text(chord_canonical(parse_chord_code(args.code)))
+    return [canon], {"canonical": canon}, 0
 
 
-def _cmd_chord_iso(args) -> int:
+def _cmd_chord_iso(args) -> Output:
     same = chord_isomorphic(parse_chord_code(args.code1), parse_chord_code(args.code2))
-    _emit(
-        args,
-        ["isomorphic" if same else "not isomorphic"],
-        {"isomorphic": same},
-    )
-    return 0
+    return ["isomorphic" if same else "not isomorphic"], {"isomorphic": same}, 0
 
 
-def _cmd_chord_enum(args) -> int:
+def _cmd_chord_enum(args) -> Output:
     codes = enumerate_chords(args.n, genus_filter=args.genus, bound=args.bound)
     lines = [chord_text(c) for c in codes]
-    _emit(args, lines, {"codes": lines})
-    return 0
+    return lines, {"codes": lines}, 0
 
 
 def _payload_text(fx: Fixture) -> str:
@@ -262,34 +237,22 @@ def _expected_text(fx: Fixture) -> str:
     return str(fx.expected)
 
 
-def _cmd_catalog_list(args) -> int:
+def _cmd_catalog_list(args) -> Output:
     names = catalog_list()
-    _emit(args, names, {"fixtures": names})
-    return 0
+    return names, {"fixtures": names}, 0
 
 
-def _cmd_catalog_show(args) -> int:
+def _cmd_catalog_show(args) -> Output:
     fx = catalog_get(args.name)
-    payload = _payload_text(fx)
-    lines = [
-        f"name: {fx.name}",
-        f"kind: {fx.kind}",
-        f"note: {fx.note}",
-        f"expected: {_expected_text(fx)}",
-        "---",
-    ] + payload.splitlines()
-    _emit(
-        args,
-        lines,
-        {
-            "name": fx.name,
-            "kind": fx.kind,
-            "note": fx.note,
-            "expected": _expected_text(fx),
-            "payload": payload,
-        },
-    )
-    return 0
+    obj = {
+        "name": fx.name,
+        "kind": fx.kind,
+        "note": fx.note,
+        "expected": _expected_text(fx),
+        "payload": _payload_text(fx),
+    }
+    lines = [f"{key}: {obj[key]}" for key in ("name", "kind", "note", "expected")]
+    return lines + ["---"] + obj["payload"].splitlines(), obj, 0
 
 
 # ---------------------------------------------------------------------
@@ -297,10 +260,45 @@ def _cmd_catalog_show(args) -> int:
 # ---------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, with_input: bool = False) -> None:
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    if with_input:
-        p.add_argument("--input", choices=("scx", "cw2", "auto"), default="auto")
+def _arg(name: str, **options) -> tuple[str, dict]:
+    return name, options
+
+
+_FORMAT = _arg("--format", choices=("text", "json"), default="text")
+_COMPLEX = (
+    _arg("file", help="complex file, or - for stdin"),
+    _FORMAT,
+    _arg("--input", choices=("scx", "cw2", "auto"), default="auto"),
+)
+
+# (command words, help, arguments in order, handler); a group has no
+# handler and takes its subcommands under the dest "<word>_command"
+_COMMANDS = (
+    ("components", "connected components of a complex", _COMPLEX, _cmd_components),
+    ("surface-check", "edge and vertex conditions", _COMPLEX, _cmd_surface_check),
+    ("orient", "orient 2-cells (or tetrahedra) consistently", _COMPLEX, _cmd_orient),
+    ("classify", "name the surface of every component", _COMPLEX, _cmd_classify),
+    ("classify3", "check a simplicial 3-complex is a manifold", _COMPLEX, _cmd_classify3),
+    ("slw", "systems of loops and words", (), None),
+    ("slw equiv", "find a letter bijection between two SLW files",
+     (_arg("file1"), _arg("file2"), _FORMAT), _cmd_slw_equiv),
+    ("slw classify", "name the surface an SLW presents",
+     (_arg("file", help="SLW file, or - for stdin"), _FORMAT), _cmd_slw_classify),
+    ("rot", "rotation systems with edge signs", (), None),
+    ("rot classify", "name the surface of an embedding",
+     (_arg("rotation", help="rotation text, a file, or - for stdin"), _FORMAT), _cmd_rot_classify),
+    ("chord", "chord diagrams", (), None),
+    ("chord canon", "canonical form of one diagram", (_arg("code"), _FORMAT), _cmd_chord_canon),
+    ("chord iso", "decide whether two diagrams are isomorphic",
+     (_arg("code1"), _arg("code2"), _FORMAT), _cmd_chord_iso),
+    ("chord enum", "all canonical diagrams with n chords",
+     (_arg("n", type=int), _arg("--genus", type=int, default=None),
+      _arg("--bound", type=int, default=8), _FORMAT), _cmd_chord_enum),
+    ("catalog", "built-in fixtures", (), None),
+    ("catalog list", "all fixture names", (_FORMAT,), _cmd_catalog_list),
+    ("catalog show", "print one fixture in its file format",
+     (_arg("name"), _FORMAT), _cmd_catalog_show),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -308,106 +306,34 @@ def build_parser() -> argparse.ArgumentParser:
         prog="surfclass",
         description="Recognize and classify surfaces given combinatorially.",
     )
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("components", help="connected components of a complex")
-    p.add_argument("file", help="complex file, or - for stdin")
-    _add_common(p, with_input=True)
-    p.set_defaults(func=_cmd_components)
-
-    p = sub.add_parser("surface-check", help="edge and vertex conditions")
-    p.add_argument("file", help="complex file, or - for stdin")
-    _add_common(p, with_input=True)
-    p.set_defaults(func=_cmd_surface_check)
-
-    p = sub.add_parser("orient", help="orient 2-cells (or tetrahedra) consistently")
-    p.add_argument("file", help="complex file, or - for stdin")
-    _add_common(p, with_input=True)
-    p.set_defaults(func=_cmd_orient)
-
-    p = sub.add_parser("classify", help="name the surface of every component")
-    p.add_argument("file", help="complex file, or - for stdin")
-    _add_common(p, with_input=True)
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("classify3", help="check a simplicial 3-complex is a manifold")
-    p.add_argument("file", help="complex file, or - for stdin")
-    _add_common(p, with_input=True)
-    p.set_defaults(func=_cmd_classify3)
-
-    p = sub.add_parser("slw", help="systems of loops and words")
-    slw_sub = p.add_subparsers(dest="slw_command", required=True)
-    q = slw_sub.add_parser("equiv", help="find a letter bijection between two SLW files")
-    q.add_argument("file1")
-    q.add_argument("file2")
-    _add_common(q)
-    q.set_defaults(func=_cmd_slw_equiv)
-    q = slw_sub.add_parser("classify", help="name the surface an SLW presents")
-    q.add_argument("file", help="SLW file, or - for stdin")
-    _add_common(q)
-    q.set_defaults(func=_cmd_slw_classify)
-
-    p = sub.add_parser("rot", help="rotation systems with edge signs")
-    rot_sub = p.add_subparsers(dest="rot_command", required=True)
-    q = rot_sub.add_parser("classify", help="name the surface of an embedding")
-    q.add_argument("rotation", help="rotation text, a file, or - for stdin")
-    _add_common(q)
-    q.set_defaults(func=_cmd_rot_classify)
-
-    p = sub.add_parser("chord", help="chord diagrams")
-    ch_sub = p.add_subparsers(dest="chord_command", required=True)
-    q = ch_sub.add_parser("canon", help="canonical form of one diagram")
-    q.add_argument("code")
-    _add_common(q)
-    q.set_defaults(func=_cmd_chord_canon)
-    q = ch_sub.add_parser("iso", help="decide whether two diagrams are isomorphic")
-    q.add_argument("code1")
-    q.add_argument("code2")
-    _add_common(q)
-    q.set_defaults(func=_cmd_chord_iso)
-    q = ch_sub.add_parser("enum", help="all canonical diagrams with n chords")
-    q.add_argument("n", type=int)
-    q.add_argument("--genus", type=int, default=None)
-    q.add_argument("--bound", type=int, default=8)
-    _add_common(q)
-    q.set_defaults(func=_cmd_chord_enum)
-
-    p = sub.add_parser("catalog", help="built-in fixtures")
-    cat_sub = p.add_subparsers(dest="catalog_command", required=True)
-    q = cat_sub.add_parser("list", help="all fixture names")
-    _add_common(q)
-    q.set_defaults(func=_cmd_catalog_list)
-    q = cat_sub.add_parser("show", help="print one fixture in its file format")
-    q.add_argument("name")
-    _add_common(q)
-    q.set_defaults(func=_cmd_catalog_show)
-
+    subparsers = {"": ap.add_subparsers(dest="command", required=True)}
+    for words, help_text, arguments, handler in _COMMANDS:
+        group, _, name = words.rpartition(" ")
+        p = subparsers[group].add_parser(name, help=help_text)
+        for arg, options in arguments:
+            p.add_argument(arg, **options)
+        if handler is None:
+            subparsers[words] = p.add_subparsers(dest=f"{name}_command", required=True)
+        else:
+            p.set_defaults(func=handler)
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (UnknownFixture, BoundExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        lines, obj, code = args.func(args)
     except _VERDICT_ERRORS as exc:
-        if args.format == "json":
-            print(json.dumps({"verdict": False, "reason": str(exc)}, sort_keys=True))
-        else:
-            print(f"verdict: no ({exc})")
-        return 4
-    except ValueError as exc:
+        lines, obj, code = [f"verdict: no ({exc})"], {"verdict": False, "reason": str(exc)}, 4
+    except (TopologyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TopologyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return next(code for kinds, code in _ERROR_EXITS if isinstance(exc, kinds))
+    if args.format == "json":
+        print(json.dumps(obj, sort_keys=True))
+    else:
+        for line in lines:
+            print(line)
+    return code
 
 
 if __name__ == "__main__":

@@ -264,7 +264,16 @@ def cw_complex(
     extra_vertices: Iterable[str] = (),
 ) -> CWComplex2:
     """Build a CW 2-complex from face cycles plus optional loose cells."""
-    canon_faces = [canonical_cycle(_face_cycle(raw)) for raw in faces]
+    return _cw([_face_cycle(raw) for raw in faces], extra_edges, extra_vertices)
+
+
+def _cw(
+    faces: Iterable[Cycle],
+    extra_edges: Iterable[tuple[str, str]],
+    extra_vertices: Iterable[str],
+) -> CWComplex2:
+    # the complex of face cycles that _face_cycle() has already checked
+    canon_faces = [canonical_cycle(cyc) for cyc in faces]
     edges: set[Edge] = set()
     for cyc in canon_faces:
         edges.update(cycle_edges(cyc))
@@ -329,7 +338,13 @@ def parse_cw2(text: str) -> CWComplex2:
             raise ParseError(f"expected F:/E:/V: line, got {line!r}", no)
     if not seen:
         raise ParseError("empty input: no cells")
-    return cw_complex(faces, extra_edges, extra_vertices)
+    return _cw(faces, extra_edges, extra_vertices)
+
+
+def _quote(raw: object) -> str:
+    # a bad JSON value for an error message, cut to its first 60 characters
+    text = json.dumps(raw)
+    return text if len(text) <= 60 else text[:60] + "..."
 
 
 def _json_labels(raw: object, what: str) -> tuple[str, ...]:
@@ -337,14 +352,14 @@ def _json_labels(raw: object, what: str) -> tuple[str, ...]:
     if not isinstance(raw, list) or not all(
         isinstance(v, (str, int, float)) and not isinstance(v, bool) for v in raw
     ):
-        raise ParseError(f"{what} must be a list of vertex labels, got {json.dumps(raw)}")
+        raise ParseError(f"{what} must be a list of vertex labels, got {_quote(raw)}")
     return tuple(str(v) for v in raw)
 
 
 def _json_list(obj: dict, key: str) -> list:
     items = obj.get(key, [])
     if not isinstance(items, list):
-        raise ParseError(f'"{key}" must be a list, got {json.dumps(items)}')
+        raise ParseError(f'"{key}" must be a list, got {_quote(items)}')
     return items
 
 
@@ -362,7 +377,7 @@ def _parse_json_obj(obj: object) -> Complex:
         edges = [_json_labels(e, "an edge") for e in _json_list(obj, "edges")]
         for e in edges:
             if len(e) != 2 or e[0] == e[1]:
-                raise ParseError(f"edge needs two distinct endpoints, got {json.dumps(e)}")
+                raise ParseError(f"edge needs two distinct endpoints, got {_quote(e)}")
         vertices = _json_labels(_json_list(obj, "vertices"), '"vertices"')
         if not (faces or edges or vertices):
             raise ParseError("empty input: no cells")

@@ -92,26 +92,30 @@ def slw_graph(
     Edge endpoints are added to the vertex set implicitly; every letter
     must name an edge and every word must read as a closed walk.
     """
-    edge_list: list[tuple[str, str, str]] = []
-    seen: set[str] = set()
-    verts = set(str(v) for v in vertices)
-    for label, tail, head in edges:
-        label, tail, head = str(label), str(tail), str(head)
-        if label in seen:
+    edge_list = [(str(label), str(tail), str(head)) for label, tail, head in edges]
+    emap: dict[str, tuple[str, str]] = {}
+    for label, tail, head in edge_list:
+        if label in emap:
             raise ParseError(f"duplicate edge label {label!r}")
-        seen.add(label)
-        edge_list.append((label, tail, head))
-        verts.add(tail)
-        verts.add(head)
-    edge_list.sort()
-    emap = {label: (tail, head) for label, tail, head in edge_list}
-    canon_lists = []
+        emap[label] = (tail, head)
+    lists = list(lists)
     for wl in lists:
         for w in wl.words:
             _validate_word(w, emap)
-        canon_lists.append(word_list(wl.n, wl.words))
-    canon_lists.sort(key=_list_key)
-    return SLWGraph(frozenset(verts), tuple(edge_list), tuple(canon_lists))
+    return _slw(vertices, edge_list, lists)
+
+
+def _slw(
+    vertices: Iterable[str],
+    edges: list[tuple[str, str, str]],
+    lists: Iterable[WordList],
+) -> SLWGraph:
+    # the SLW-graph of edges and words that have already been validated
+    verts = set(str(v) for v in vertices)
+    for _, tail, head in edges:
+        verts.update((tail, head))
+    canon_lists = sorted((word_list(wl.n, wl.words) for wl in lists), key=_list_key)
+    return SLWGraph(frozenset(verts), tuple(sorted(edges)), tuple(canon_lists))
 
 
 def _validate_word(w: Word, emap: Mapping[str, tuple[str, str]], line: int | None = None) -> None:
@@ -192,7 +196,7 @@ def parse_slw(text: str) -> SLWGraph:
             words.append(w)
     if words is not None:
         lists.append(WordList(ns.pop(), tuple(words)))
-    return slw_graph(vertices, edges, lists)
+    return _slw(vertices, edges, lists)
 
 
 def slw_to_text(s: SLWGraph) -> str:

@@ -115,14 +115,12 @@ def vertex_check(cx: Complex, v: str) -> VertexLink:
             walk.pop()
             closed = True
             break
+    # no chord left contains walk[-1], so the left walk cannot close a cycle
     while not closed:
         prv = take(walk[0])
         if prv is None:
             break
         walk.insert(0, prv)
-        if walk[0] == walk[-1]:
-            walk.pop()
-            closed = True
     if pool:
         raise NotLocallyPlanar(
             f"link of vertex {v} is disconnected", vertex=v

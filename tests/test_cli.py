@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from surfclass.cli import main
+from surfclass.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -107,6 +107,20 @@ def test_orient_json(capsys, twisted_file):
     assert obj["conflict"] == ["4", "5"]
 
 
+@pytest.mark.parametrize(
+    "text, code, out",
+    [("0 1 2\n0 1 3\n0 1 4\n", 4, "verdict: no (edge {0,1} lies in 3 2-cells)\n"),
+     ("0 1 2 3\n0 1 2 4\n0 1 2 5\n", 4, "verdict: no (triangle 0 1 2 lies in 3 tetrahedra)\n"),
+     ("0 1 2\n0 1 3\n1 4\n", 0, "orientable\n0 1 2\n0 3 1\n"),
+     ("0 1 2 3\n0 1 4\n", 0, "orientable\n0 1 2 3\n")],
+    ids=["edge-in-3-cells", "triangle-in-3-tets", "loose-edge", "loose-triangle"],
+)
+def test_orient_rejects_only_branched_cells(capsys, tmp_path, text, code, out):
+    p = tmp_path / "in.scx"
+    p.write_text(text, encoding="utf-8")
+    assert run(capsys, "orient", str(p)) == (code, out, "")
+
+
 def test_orient_dispatches_to_dimension_3(capsys, tmp_path):
     p = tmp_path / "tet.scx"
     p.write_text("0 1 2 3\n", encoding="utf-8")
@@ -174,7 +188,9 @@ def test_parse_error_exit_3(capsys, tmp_path):
     "doc",
     ['{"faces": 5}', '{"edges": [["1"]]}', '{"faces": [5]}', '{"faces": [["0", "1", ["2"]]]}',
      '{"edges": [["1", "1"]]}', '{"vertices": "abc"}', '{"simplices": [3]}',
-     '{"simplices": [[1, 2, true]]}', '{"faces": [["0", "1", false]]}'],
+     '{"simplices": [[1, 2, true]]}', '{"faces": [["0", "1", false]]}',
+     '{"faces": [[' + ", ".join(f'"{i}"' for i in range(10**4)) + ', true]]}'],
+    ids=lambda doc: doc if len(doc) < 40 else "long-face",
 )
 def test_malformed_json_shape_exit_3(capsys, tmp_path, doc):
     p = tmp_path / "bad.json"
@@ -183,6 +199,7 @@ def test_malformed_json_shape_exit_3(capsys, tmp_path, doc):
     assert code == 3
     assert out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert len(err) <= 160
 
 
 def test_missing_file_exit_3(capsys):
@@ -267,3 +284,35 @@ def test_reruns_are_byte_identical(capsys, sphere_file):
     _, j1, _ = run(capsys, "classify", sphere_file, "--format", "json")
     _, j2, _ = run(capsys, "classify", sphere_file, "--format", "json")
     assert j1 == j2
+
+
+MINIMAL_ARGVS = {
+    "components f": {"command": "components", "file": "f", "format": "text", "input": "auto"},
+    "surface-check f": {"command": "surface-check", "file": "f", "format": "text",
+                        "input": "auto"},
+    "orient f": {"command": "orient", "file": "f", "format": "text", "input": "auto"},
+    "classify f": {"command": "classify", "file": "f", "format": "text", "input": "auto"},
+    "classify3 f": {"command": "classify3", "file": "f", "format": "text", "input": "auto"},
+    "slw equiv a b": {"command": "slw", "slw_command": "equiv", "file1": "a", "file2": "b",
+                      "format": "text"},
+    "slw classify f": {"command": "slw", "slw_command": "classify", "file": "f", "format": "text"},
+    "rot classify r": {"command": "rot", "rot_command": "classify", "rotation": "r",
+                       "format": "text"},
+    "chord canon c": {"command": "chord", "chord_command": "canon", "code": "c", "format": "text"},
+    "chord iso c d": {"command": "chord", "chord_command": "iso", "code1": "c", "code2": "d",
+                      "format": "text"},
+    "chord enum 3": {"command": "chord", "chord_command": "enum", "n": 3, "genus": None,
+                     "bound": 8, "format": "text"},
+    "catalog list": {"command": "catalog", "catalog_command": "list", "format": "text"},
+    "catalog show x": {"command": "catalog", "catalog_command": "show", "name": "x",
+                       "format": "text"},
+}
+
+
+@pytest.mark.parametrize("argv", MINIMAL_ARGVS)
+def test_namespace_keys_and_defaults(argv):
+    args = vars(build_parser().parse_args(argv.split()))
+    handler = args.pop("func")
+    assert list(args.items()) == list(MINIMAL_ARGVS[argv].items())
+    words = [v for k, v in args.items() if k == "command" or k.endswith("_command")]
+    assert handler.__name__ == "_cmd_" + "_".join(words).replace("-", "_")

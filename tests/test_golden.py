@@ -1,8 +1,11 @@
 """Golden CLI bytes for every subcommand family but the chord ones.
 
 Each family file under `golden/` was captured before the connectivity
-and orientation helpers were merged; see `golden_cli.py` for what each
-family covers and how to regenerate it.
+and orientation helpers were merged, except the six `orient` cases on
+branched input (`gen/torus_extra_face`, `gen/bowtie_branch`,
+`gen/tet_fan3`), regenerated when `orient` began to refuse them with
+exit 4; see `golden_cli.py` for what each family covers and how to
+regenerate it.
 """
 
 from __future__ import annotations

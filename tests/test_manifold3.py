@@ -9,6 +9,8 @@ from surfclass import (
     SimplicialComplex,
     SurfaceType,
     close,
+    components,
+    euler_characteristic,
     face_check3,
     is_3manifold,
     is_sphere,
@@ -128,3 +130,26 @@ def test_is_3manifold_closes_the_tetrahedra_once(monkeypatch):
     monkeypatch.setattr(manifold3, "close", counting_close)
     assert is_3manifold(cx).manifold
     assert [c for c in calls if c == list(tets)] == [list(tets)]
+
+
+def test_cone_over_two_spheres_glued_at_two_points_is_not_a_manifold():
+    # two octahedron boundaries glued at one antipodal pair {n, s}: the
+    # apex link K is connected, every edge of K lies in two triangles and
+    # chi(K) = 2, yet K is no sphere (the links of n and s in K are two circles)
+    k = [
+        (pole, f"{side}{i}", f"{side}{(i + 1) % 4}")
+        for side in "uw"
+        for pole in "ns"
+        for i in range(4)
+    ]
+    link = close(k)
+    assert components(link).count() == 1
+    assert all(len(cells) == 2 for cells in link.incidence.edge_cells.values())
+    assert euler_characteristic(link) == 2
+    assert not is_sphere(link)
+    cone = close([("c",) + tri for tri in k])
+    assert vertex_link3(cone, "c") == link
+    chk = is_3manifold(cone)
+    assert not chk.manifold
+    assert str(chk.defect) == "link of vertex c is not a sphere"
+    assert chk.defect.vertex == "c"

@@ -4,7 +4,8 @@ Every connectivity question goes through ``connectivity.classes`` and
 every orientability question through ``connectivity.two_colour``; a
 second union-find or BFS queue elsewhere would be a second copy of one
 of them.  ``__all__`` is derived from the package imports, so it must
-name exactly what they bind.
+name exactly what they bind.  The command handlers return their output,
+and ``cli.main`` alone prints it.
 """
 
 from __future__ import annotations
@@ -57,3 +58,15 @@ def test_all_is_every_name_the_package_imports():
     assert len(bound) == len(set(bound))
     assert sorted(surfclass.__all__) == sorted(bound)
     assert all(hasattr(surfclass, name) for name in surfclass.__all__)
+
+
+def test_only_cli_main_prints():
+    printers = [
+        f"{name}:{node.lineno} {fn.name}"
+        for name, tree in _trees()
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print"
+    ]
+    assert printers and all(p.startswith("cli.py:") and p.endswith(" main") for p in printers)
