@@ -79,26 +79,22 @@ def classify_surface(cx: Complex) -> list[SurfaceType]:
     return out
 
 
-def is_sphere(cx: Complex) -> bool:
-    """Connected, locally planar everywhere, and chi = 2."""
+def _closed_and_euler(cx: Complex) -> tuple[bool | None, int] | None:
+    # (closed, chi) of a connected surface; None for anything else
     try:
         if components(cx).count() != 1:
-            return False
+            return None
     except EmptyComplex:
-        return False
-    if not is_surface(cx).surface:
-        return False
-    return euler_characteristic(cx) == 2
+        return None
+    chk = is_surface(cx)
+    return (chk.closed, euler_characteristic(cx)) if chk.surface else None
+
+
+def is_sphere(cx: Complex) -> bool:
+    """Connected, locally planar everywhere, closed, and chi = 2."""
+    return _closed_and_euler(cx) == (True, 2)
 
 
 def is_disk(cx: Complex) -> bool:
     """Connected, locally planar, nonempty boundary, and chi = 1."""
-    try:
-        if components(cx).count() != 1:
-            return False
-    except EmptyComplex:
-        return False
-    chk = is_surface(cx)
-    if not chk.surface or chk.closed:
-        return False
-    return euler_characteristic(cx) == 1
+    return _closed_and_euler(cx) == (False, 1)

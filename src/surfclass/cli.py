@@ -37,7 +37,7 @@ from .errors import (
     TopologyError,
     UnknownFixture,
 )
-from .manifold3 import is_3manifold
+from .manifold3 import _triangle_defect, is_3manifold
 from .orientation import NonOrientable, orient2, orient3
 from .rotation import (
     chord_canonical,
@@ -50,7 +50,7 @@ from .rotation import (
     serialize_rotation,
 )
 from .slw import classify_slw, parse_slw, slw_equivalent, slw_to_text
-from .surface import is_surface
+from .surface import _edge_defect, is_surface
 
 # raised by verdict-bearing failures; the CLI prints and exits 4
 _VERDICT_ERRORS = (NotSurface, NotManifold, NotLocallyPlanar, Disconnected, EmptyComplex)
@@ -130,23 +130,13 @@ def _cmd_orient(args) -> Output:
     # orient2/orient3 assume at most two 2-cells on an edge, two tetrahedra on a triangle
     cx = _complex(args)
     if cx.tetrahedra():
-        for tri, tets in cx.incidence.triangle_tets.items():
-            if len(tets) > 2:
-                raise NotManifold(
-                    f"triangle {' '.join(tri)} lies in {len(tets)} tetrahedra",
-                    triangle=tri,
-                    count=len(tets),
-                )
-        res = orient3(cx)
+        cofaces, defect, orient = cx.incidence.triangle_tets, _triangle_defect, orient3
     else:
-        for e, cells in cx.incidence.edge_cells.items():
-            if len(cells) > 2:
-                raise NotLocallyPlanar(
-                    f"edge {_edge_text(e)} lies in {len(cells)} 2-cells",
-                    edge=e,
-                    face_count=len(cells),
-                )
-        res = orient2(cx)
+        cofaces, defect, orient = cx.incidence.edge_cells, _edge_defect, orient2
+    for f, cells in cofaces.items():
+        if len(cells) > 2:
+            raise defect(f, len(cells))
+    res = orient(cx)
     cells = [list(c) for c in res.cells]
     if isinstance(res, NonOrientable):
         kind = "edge" if len(res.conflict) == 2 else "triangle"

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -127,12 +127,12 @@ class Incidence:
         return dict(sorted(out.items()))
 
     @cached_property
-    def vertex_tets(self) -> dict[str, list[int]]:
-        """Each vertex's tetrahedra as indices into tetrahedra."""
-        out: dict[str, list[int]] = {}
-        for i, tet in enumerate(self.tetrahedra):
-            for v in tet:
-                out.setdefault(v, []).append(i)
+    def star(self) -> dict[str, list[tuple[str, ...]]]:
+        """Each vertex's edges, 2-cells and tetrahedra."""
+        out: dict[str, list[tuple[str, ...]]] = {}
+        for s in chain(self.edges, self.cells2, self.tetrahedra):
+            for v in s:
+                out.setdefault(v, []).append(s)
         return out
 
 
@@ -153,16 +153,6 @@ class SimplicialComplex:
             tuple(sorted(by_dim[2])),
             tuple(sorted(by_dim[3])),
         )
-
-    @cached_property
-    def tet_closure(self) -> frozenset[Simplex]:
-        """Every face of every tetrahedron: the simplices of close(tetrahedra)."""
-        return close(self.tetrahedra()).simplices
-
-    @cached_property
-    def loose(self) -> frozenset[Simplex]:
-        """The simplices that are no face of a tetrahedron."""
-        return self.simplices - self.tet_closure
 
     def vertex_set(self) -> frozenset[str]:
         return self.incidence.vertices
@@ -418,17 +408,13 @@ def parse_complex(text: str, fmt: str = "auto") -> Complex:
 
 def to_text(cx: Complex) -> str:
     """Canonical text form; parse(to_text(cx)) == cx."""
-    if isinstance(cx, SimplicialComplex):
-        return "\n".join(" ".join(s) for s in sorted(cx.simplices)) + "\n"
-    lines = [f"F: {' '.join(cyc)}" for cyc in cx.faces]
-    in_faces: set[Edge] = set()
-    for cyc in cx.faces:
-        in_faces.update(cycle_edges(cyc))
-    covered = set(v for e in cx.edges for v in e)
-    for a, b in sorted(cx.edges - in_faces):
-        lines.append(f"E: {a} {b}")
-    for v in sorted(cx.vertices - covered - set(v for c in cx.faces for v in c)):
-        lines.append(f"V: {v}")
+    obj = to_json_obj(cx)
+    if "simplices" in obj:
+        lines = [" ".join(s) for s in obj["simplices"]]
+    else:
+        lines = [f"F: {' '.join(c)}" for c in obj["faces"]]
+        lines += [f"E: {a} {b}" for a, b in obj["edges"]]
+        lines += [f"V: {v}" for v in obj["vertices"]]
     return "\n".join(lines) + "\n"
 
 
@@ -466,11 +452,8 @@ def skeleton1(cx: Complex) -> Skeleton1:
 
 def euler_characteristic(cx: Complex) -> int:
     """Alternating sum of cell counts (V - E + F - T)."""
-    if isinstance(cx, SimplicialComplex):
-        v, e, f, t = cx.counts()
-        return v - e + f - t
-    v, e, f = cx.counts()
-    return v - e + f
+    v, e, f, *t = cx.counts()  # a CW 2-complex has no T
+    return v - e + f - sum(t)
 
 
 def relabel(cx: Complex, mapping: Mapping[str, str]) -> Complex:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .classify import SurfaceType, classify_surface, is_disk, is_sphere
 from .complexes import SimplicialComplex, Simplex, close, euler_characteristic
 from .errors import InvariantError, NotManifold, NotSurface
-from .surface import BOUNDARY, INTERIOR
+from .surface import BOUNDARY, _facet_status
 
 
 @dataclass(frozen=True)
@@ -32,40 +32,26 @@ class Manifold3Check:
     defect: Exception | None = None
 
 
+def _triangle_defect(tri: Simplex, n: int) -> NotManifold:
+    return NotManifold(f"triangle {' '.join(tri)} lies in {n} tetrahedra", triangle=tri, count=n)
+
+
 def face_check3(cx: SimplicialComplex) -> list[TriangleStatus]:
     """Classify every triangle as interior (2 tetrahedra) or boundary (1)."""
     if not cx.tetrahedra():
         raise NotManifold("complex has no 3-cells")
-    out = []
-    for tri, tets in cx.incidence.triangle_tets.items():
-        n = len(tets)
-        if n == 1:
-            out.append(TriangleStatus(tri, BOUNDARY, tuple(tets)))
-        elif n == 2:
-            out.append(TriangleStatus(tri, INTERIOR, tuple(tets)))
-        else:
-            raise NotManifold(
-                f"triangle {' '.join(tri)} lies in {n} tetrahedra",
-                triangle=tri,
-                count=n,
-            )
-    return out
+    return _facet_status(cx.incidence.triangle_tets, TriangleStatus, _triangle_defect)
 
 
 def vertex_link3(cx: SimplicialComplex, v: str) -> SimplicialComplex:
-    """The link of v: the closure of the opposite faces of all cells at v.
+    """The link of v: every simplex at v but v itself, with v removed.
 
-    Every cell at v is a face of one of v's tetrahedra or of a cell that
-    lies in no tetrahedron, so those two kinds span the link.
+    In a face-closed complex these sets are already closed under faces.
     """
     if v not in cx.vertex_set():
         raise ValueError(f"no vertex {v!r} in complex")
-    tets = cx.tetrahedra()
-    opposite = [tuple(w for w in tets[i] if w != v) for i in cx.incidence.vertex_tets.get(v, ())]
-    opposite += [tuple(w for w in s if w != v) for s in cx.loose if v in s and len(s) > 1]
-    if not opposite:
-        return SimplicialComplex(frozenset())
-    return close(opposite)
+    star = cx.incidence.star.get(v, ())
+    return SimplicialComplex(frozenset(tuple(w for w in s if w != v) for s in star))
 
 
 def is_3manifold(cx: SimplicialComplex) -> Manifold3Check:
@@ -73,7 +59,7 @@ def is_3manifold(cx: SimplicialComplex) -> Manifold3Check:
     tets = cx.tetrahedra()
     if not tets:
         return Manifold3Check(False, None, (), NotManifold("complex has no 3-cells"))
-    if cx.simplices != cx.tet_closure:
+    if cx.simplices != close(tets).simplices:
         return Manifold3Check(
             False, None, (),
             NotManifold("complex has cells outside the closure of its tetrahedra"),

@@ -10,10 +10,10 @@ or cycle (interior vertex).
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
+from typing import Callable, Mapping
 
-from .complexes import Complex, Cycle, Edge, norm_edge
+from .complexes import Complex, Cycle, Edge
 from .errors import NotLocallyPlanar, NotSurface
 
 INTERIOR = "interior"
@@ -54,6 +54,24 @@ def _require_dim2(cx: Complex) -> None:
         raise NotSurface("complex has 3-dimensional cells")
 
 
+def _edge_defect(e: Edge, n: int) -> NotLocallyPlanar:
+    return NotLocallyPlanar(f"edge {{{e[0]},{e[1]}}} lies in {n} 2-cells", edge=e, face_count=n)
+
+
+def _facet_status(cofaces: Mapping[tuple, list[int]], status: Callable, defect: Callable) -> list:
+    """One status per facet in key order: 1 coface is boundary, 2 interior.
+
+    Any other count raises defect(facet, count).
+    """
+    out = []
+    for f, cells in cofaces.items():
+        n = len(cells)
+        if n not in (1, 2):
+            raise defect(f, n)
+        out.append(status(f, BOUNDARY if n == 1 else INTERIOR, tuple(cells)))
+    return out
+
+
 def edge_check(cx: Complex) -> list[EdgeStatus]:
     """Classify every edge as interior or boundary.
 
@@ -61,20 +79,50 @@ def edge_check(cx: Complex) -> list[EdgeStatus]:
     than two.
     """
     _require_dim2(cx)
-    out = []
-    for e, cells in cx.incidence.edge_cells.items():
-        n = len(cells)
-        if n == 1:
-            out.append(EdgeStatus(e, BOUNDARY, tuple(cells)))
-        elif n == 2:
-            out.append(EdgeStatus(e, INTERIOR, tuple(cells)))
-        else:
-            raise NotLocallyPlanar(
-                f"edge {{{e[0]},{e[1]}}} lies in {n} 2-cells",
-                edge=e,
-                face_count=n,
-            )
-    return out
+    return _facet_status(cx.incidence.edge_cells, EdgeStatus, _edge_defect)
+
+
+def _ends(edges: list[Edge]) -> dict[str, list[int]]:
+    # each end of the given edges, with the indices of its edges
+    at: dict[str, list[int]] = {}
+    for i, (a, b) in enumerate(edges):
+        at.setdefault(a, []).append(i)
+        at.setdefault(b, []).append(i)
+    return at
+
+
+def _walk(
+    edges: list[Edge], at: dict[str, list[int]], used: list[bool], i: int
+) -> tuple[list[str], bool, str | None]:
+    """Chain edges[i] with unused edges into a path or a cycle.
+
+    The walk goes right from edges[i] while its end has exactly one
+    unused edge, and closes when it comes back to its first vertex;
+    otherwise it then goes left the same way. Edges taken are marked in
+    used. Returns the walk, whether it closed, and the first end with
+    two or more unused edges (None if there was none).
+    """
+    used[i] = True
+    first, end = edges[i]
+    right, left = [first, end], [first]
+    for side in (right, left):
+        end = side[-1]
+        while True:
+            j = -1
+            for k in at[end]:
+                if not used[k]:
+                    if j >= 0:
+                        return right, False, end
+                    j = k
+            if j < 0:
+                break
+            used[j] = True
+            a, b = edges[j]
+            end = b if a == end else a
+            if end == first:  # only on the right: the left walk left first by its last unused edge
+                return right, True, None
+            side.append(end)
+    return left[:0:-1] + right, False, None
 
 
 def vertex_check(cx: Complex, v: str) -> VertexLink:
@@ -87,44 +135,17 @@ def vertex_check(cx: Complex, v: str) -> VertexLink:
     _require_dim2(cx)
     if v not in cx.vertex_set():
         raise ValueError(f"no vertex {v!r} in complex")
-    pool = sorted(cx.incidence.chords.get(v, ()))
-    if not pool:
+    chords = sorted(cx.incidence.chords.get(v, ()))
+    if not chords:
         raise NotLocallyPlanar(f"vertex {v} lies in no 2-cell", vertex=v)
-    first = pool.pop(0)
-    walk = [first[0], first[1]]
-
-    def take(end: str) -> str | None:
-        cont = [e for e in pool if end in e]
-        if len(cont) > 1:
-            raise NotLocallyPlanar(
-                f"link of vertex {v} branches at {end}", vertex=v, branch_vertex=end
-            )
-        if not cont:
-            return None
-        e = cont[0]
-        pool.remove(e)
-        return e[1] if e[0] == end else e[0]
-
-    closed = False
-    while True:
-        nxt = take(walk[-1])
-        if nxt is None:
-            break
-        walk.append(nxt)
-        if walk[0] == walk[-1]:
-            walk.pop()
-            closed = True
-            break
-    # no chord left contains walk[-1], so the left walk cannot close a cycle
-    while not closed:
-        prv = take(walk[0])
-        if prv is None:
-            break
-        walk.insert(0, prv)
-    if pool:
+    used = [False] * len(chords)
+    walk, closed, branch = _walk(chords, _ends(chords), used, 0)
+    if branch is not None:
         raise NotLocallyPlanar(
-            f"link of vertex {v} is disconnected", vertex=v
+            f"link of vertex {v} branches at {branch}", vertex=v, branch_vertex=branch
         )
+    if not all(used):
+        raise NotLocallyPlanar(f"link of vertex {v} is disconnected", vertex=v)
     return VertexLink(v, tuple(walk), "cycle" if closed else "path")
 
 
@@ -139,33 +160,15 @@ def boundary_components(cx: Complex) -> BoundaryDecomposition:
 
 
 def _boundary_cycles(statuses: list[EdgeStatus]) -> BoundaryDecomposition:
-    adj: dict[str, list[str]] = defaultdict(list)
-    unused: set[Edge] = set()
-    for st in statuses:
-        if st.status == BOUNDARY:
-            a, b = st.edge
-            adj[a].append(b)
-            adj[b].append(a)
-            unused.add(st.edge)
-    for v, nbrs in adj.items():
-        if len(nbrs) != 2:
-            raise NotLocallyPlanar(
-                f"boundary vertex {v} has {len(nbrs)} boundary edges", vertex=v
-            )
-    cycles = []
-    while unused:
-        start = min(v for e in unused for v in e)
-        cur = min(w for w in adj[start] if norm_edge(start, w) in unused)
-        unused.discard(norm_edge(start, cur))
-        cycle = [start, cur]
-        while cur != start:
-            nxt = next(w for w in adj[cur] if norm_edge(cur, w) in unused)
-            unused.discard(norm_edge(cur, nxt))
-            if nxt == start:
-                break
-            cycle.append(nxt)
-            cur = nxt
-        cycles.append(tuple(cycle))
+    edges = [st.edge for st in statuses if st.status == BOUNDARY]
+    at = _ends(edges)
+    for v, ids in at.items():
+        if len(ids) != 2:
+            raise NotLocallyPlanar(f"boundary vertex {v} has {len(ids)} boundary edges", vertex=v)
+    # in sorted edge order, the first unused edge joins the smallest vertex
+    # of a new cycle to that vertex's smaller neighbor
+    used = [False] * len(edges)
+    cycles = [tuple(_walk(edges, at, used, i)[0]) for i in range(len(edges)) if not used[i]]
     return BoundaryDecomposition(tuple(cycles))
 
 

@@ -13,6 +13,7 @@ from collections import defaultdict, deque
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from surfclass import (
     CWComplex2,
@@ -455,3 +456,37 @@ def test_40x40_torus_and_klein_bottle_classify():
     klein = grid("klein", 40)
     assert [t.name() for t in classify_surface(klein)] == ["Kl"]
     assert euler_characteristic(klein) == 0
+
+
+# Drawn small complexes: random gluings branch, pinch, leave loose edges
+# and split links far more often than the catalog does.
+
+LABELS = st.sampled_from("0123456")
+TRIANGLES = st.lists(st.lists(LABELS, min_size=3, max_size=3, unique=True), min_size=1, max_size=10).map(close)
+CW_CYCLES = st.builds(
+    cw_complex,
+    st.lists(st.lists(LABELS, min_size=3, max_size=7, unique=True), min_size=1, max_size=6),
+    st.lists(st.lists(LABELS, min_size=2, max_size=2, unique=True), max_size=2),
+)
+COMPLEXES3 = st.builds(
+    lambda *parts: close(s for part in parts for s in part),
+    st.lists(st.lists(LABELS, min_size=4, max_size=4, unique=True), min_size=1, max_size=6),
+    st.lists(st.lists(LABELS, min_size=3, max_size=3, unique=True), max_size=2),
+    st.lists(st.lists(LABELS, min_size=2, max_size=2, unique=True), max_size=2),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(TRIANGLES, CW_CYCLES))
+def test_drawn_surface_witnesses_match_reference(cx):
+    for v in sorted(ref_vertices(cx)):
+        assert outcome(vertex_check, cx, v) == outcome(ref_vertex_check, cx, v), v
+    assert outcome(boundary_components, cx) == outcome(ref_boundary_components, cx)
+    assert surface_check(cx) == ref_surface_check(cx)
+
+
+@settings(max_examples=200, deadline=None)
+@given(COMPLEXES3)
+def test_drawn_vertex_links_match_reference(cx):
+    for v in sorted(ref_vertices(cx)):
+        assert vertex_link3(cx, v) == ref_vertex_link3(cx, v), v

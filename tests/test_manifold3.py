@@ -109,7 +109,6 @@ def test_rejects_tetrahedron_without_its_faces():
     # the dataclass does not enforce face closure, so the closure check
     # must compare both ways: here nothing is loose, but faces are missing
     cx = SimplicialComplex(frozenset({("0", "1", "2", "3")}))
-    assert cx.loose == frozenset()
     chk = is_3manifold(cx)
     assert not chk.manifold
     assert "closure" in str(chk.defect)
@@ -153,3 +152,16 @@ def test_cone_over_two_spheres_glued_at_two_points_is_not_a_manifold():
     assert not chk.manifold
     assert str(chk.defect) == "link of vertex c is not a sphere"
     assert chk.defect.vertex == "c"
+
+
+def test_cone_over_the_double_cone_over_a_2000_cycle_is_a_ball():
+    n = 2000
+    sphere = close((p, f"a{i}", f"a{(i + 1) % n}") for p in "NS" for i in range(n))
+    cx = close(("c",) + tri for tri in sphere.triangles())
+    chk = is_3manifold(cx)
+    assert chk.manifold and not chk.closed
+    assert chk.boundary == (SurfaceType(True, 0, 0, 2),)
+    link = vertex_link3(cx, "c")
+    assert link == sphere
+    for pole in "NS":
+        assert sum(pole in e for e in link.edge_set()) == n

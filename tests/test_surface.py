@@ -7,10 +7,13 @@ from surfclass import (
     INTERIOR,
     NotLocallyPlanar,
     NotSurface,
+    VertexLink,
     boundary_components,
     close,
     cw_complex,
     edge_check,
+    is_disk,
+    is_sphere,
     is_surface,
     vertex_check,
 )
@@ -129,3 +132,36 @@ def test_is_surface_reports_defect():
     chk = is_surface(close([("0", "1", "2"), ("0", "1", "3"), ("0", "1", "4")]))
     assert not chk.surface
     assert isinstance(chk.defect, NotLocallyPlanar)
+
+
+# Large inputs with answers in closed form. A vertex of degree n, or n
+# boundary circles, must cost linear time: the old chord pool and
+# boundary walk were quadratic here.
+
+
+def cone(apexes, n):
+    """The cones from each apex over the cycle a0 ... a(n-1)."""
+    return close((p, f"a{i}", f"a{(i + 1) % n}") for p in apexes for i in range(n))
+
+
+def test_cone_over_a_20000_cycle_is_a_disk():
+    cx = cone("c", 20000)
+    assert is_disk(cx)
+    link = vertex_check(cx, "c")
+    assert link.kind == "cycle" and len(link.walk) == 20000
+    (circle,) = boundary_components(cx).cycles
+    assert len(circle) == 20000 and circle[:2] == ("a0", "a1")
+
+
+def test_double_cone_over_a_20000_cycle_is_a_sphere():
+    cx = cone("NS", 20000)
+    assert is_sphere(cx)
+    assert vertex_check(cx, "S") == VertexLink("S", tuple(f"a{i}" for i in range(20000)), "cycle")
+
+
+def test_5000_disjoint_triangles_have_5000_boundary_circles():
+    tris = sorted((f"x{i}", f"y{i}", f"z{i}") for i in range(5000))
+    cx = close(tris)
+    assert boundary_components(cx).cycles == tuple(tris)
+    chk = is_surface(cx)
+    assert chk.surface and not chk.closed and chk.boundary_count == 5000
