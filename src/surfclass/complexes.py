@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import (
     EmptyComplex,
@@ -475,16 +475,29 @@ def relabel(cx: Complex, mapping: Mapping[str, str]) -> Complex:
     )
 
 
+def split_cells(cx: Complex, part: Callable[[tuple[str, ...]], int], n: int) -> list[Complex]:
+    """Deal the cells of cx to n complexes in one pass.
+
+    part(cell), given a cell as its vertex tuple, names the complex it
+    goes to, or -1 to drop it; each complex keeps cx's order of cells.
+    """
+
+    def deal(cells: Iterable[tuple[str, ...]]) -> list[list[tuple[str, ...]]]:
+        out: list[list[tuple[str, ...]]] = [[] for _ in range(n + 1)]  # out[n]: dropped
+        for cell in cells:
+            out[part(cell)].append(cell)
+        return out[:n]
+
+    if isinstance(cx, SimplicialComplex):
+        return [SimplicialComplex(frozenset(cells)) for cells in deal(cx.simplices)]
+    parts = zip(deal((v,) for v in cx.vertices), deal(cx.edges), deal(cx.faces))
+    return [CWComplex2(frozenset(v for (v,) in vs), frozenset(es), tuple(fs)) for vs, es, fs in parts]
+
+
 def induced_subcomplex(cx: Complex, vertices: Iterable[str]) -> Complex:
     """Restrict to the cells whose vertices all lie in the given set."""
     keep = set(vertices)
-    if isinstance(cx, SimplicialComplex):
-        return SimplicialComplex(frozenset(s for s in cx.simplices if set(s) <= keep))
-    return CWComplex2(
-        frozenset(v for v in cx.vertices if v in keep),
-        frozenset(e for e in cx.edges if set(e) <= keep),
-        tuple(c for c in cx.faces if set(c) <= keep),
-    )
+    return split_cells(cx, lambda cell: 0 if keep.issuperset(cell) else -1, 1)[0]
 
 
 def empty_check(cx: Complex) -> None:

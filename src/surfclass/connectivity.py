@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Mapping
 
-from .complexes import Complex, empty_check, induced_subcomplex, skeleton1
+from .complexes import Complex, empty_check, skeleton1, split_cells
 
 
 def classes(nodes: Iterable[Hashable], pairs: Iterable[tuple[Hashable, Hashable]]) -> list[list]:
@@ -99,9 +99,10 @@ def is_connected(cx: Complex) -> bool:
 def component_subcomplexes(cx: Complex) -> list[Complex]:
     """The induced subcomplex of every component, in component order.
 
-    A connected complex is returned as itself, which keeps its index.
+    One pass deals each cell to the component of its first vertex. A
+    connected complex is returned as itself, which keeps its index.
     """
-    parts = components(cx).components
-    if len(parts) == 1:
+    part = components(cx)
+    if part.count() == 1:
         return [cx]
-    return [induced_subcomplex(cx, comp) for comp in parts]
+    return split_cells(cx, lambda cell: part.assignment.get(cell[0], -1), part.count())

@@ -12,6 +12,7 @@ dimension up for tetrahedra, where the shared cells are triangles.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .complexes import Complex, Edge, SimplicialComplex, Simplex, cycle_edges
 from .connectivity import two_colour
@@ -89,16 +90,8 @@ def orient2(cx: Complex) -> OrientationResult:
 
 def _perm_parity(seq: tuple[str, ...]) -> int:
     """+1 for an even permutation of sorted order, -1 for odd."""
-    seq = tuple(seq)
-    order = sorted(range(len(seq)), key=lambda i: seq[i])
-    swaps = 0
-    order = list(order)
-    for i in range(len(order)):
-        while order[i] != i:
-            j = order[i]
-            order[i], order[j] = order[j], order[i]
-            swaps += 1
-    return 1 if swaps % 2 == 0 else -1
+    inversions = sum(a > b for a, b in combinations(seq, 2))
+    return 1 if inversions % 2 == 0 else -1
 
 
 def induced_triangle_parities(tetra: tuple[str, ...]) -> dict[Simplex, int]:

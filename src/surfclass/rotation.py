@@ -11,7 +11,7 @@ all-+ case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .classify import SurfaceType, genus
 from .connectivity import classes, two_colour
@@ -357,8 +357,8 @@ def chord_to_rotation(code: ChordCode) -> RotationSystem:
     return rotation_system((tuple(code),))
 
 
-def _relabel_first_occurrence(seq: Sequence[str]) -> tuple[int, ...]:
-    names: dict[str, int] = {}
+def _relabel_first_occurrence(seq: Sequence[Hashable]) -> tuple[int, ...]:
+    names: dict[Hashable, int] = {}
     out = []
     for label in seq:
         if label not in names:
@@ -399,14 +399,8 @@ def permutation_to_code(pairs: Iterable[tuple[int, int]]) -> ChordCode:
     k = len(mate)
     if sorted(mate) != list(range(1, k + 1)):
         raise ValueError(f"points must be exactly 1..{k}")
-    labels: dict[int, int] = {}
-    out = []
-    for pos in range(1, k + 1):
-        key = min(pos, mate[pos])
-        if key not in labels:
-            labels[key] = len(labels) + 1
-        out.append(str(labels[key]))
-    return tuple(out)
+    firsts = [min(p, mate[p]) for p in range(1, k + 1)]
+    return tuple(str(i) for i in _relabel_first_occurrence(firsts))
 
 
 def code_to_permutation(code: ChordCode, start: int = 0) -> tuple[tuple[int, int], ...]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .classify import SurfaceType, genus
@@ -43,11 +44,41 @@ class WordList:
     words: tuple[Word, ...]
 
 
+class SLWIndex(NamedTuple):
+    hits: dict[str, list[tuple[int, int]]]
+    signatures: tuple[tuple, ...]
+    profiles: dict[str, tuple]
+
+
 @dataclass(frozen=True)
 class SLWGraph:
     vertices: frozenset[str]
     edges: tuple[tuple[str, str, str], ...]  # (label, tail, head), by label
     lists: tuple[WordList, ...]
+
+    @cached_property
+    def index(self) -> SLWIndex:
+        """Where each edge label occurs in the words, read in one pass.
+
+        hits: each label's occurrences as (list index, exponent) in
+        reading order, keyed by every edge label in label order.
+        signatures: each list's (n, sorted word lengths).
+        profiles: each label's sorted (signature, count) over the lists
+        it occurs in, which no relabelling changes.
+        Built on first use and kept; not a dataclass field, so equality,
+        hashing and repr ignore it.
+        """
+        hits: dict[str, list[tuple[int, int]]] = {label: [] for label, _, _ in self.edges}
+        for i, wl in enumerate(self.lists):
+            for w in wl.words:
+                for letter in w:
+                    hits.setdefault(letter.edge, []).append((i, letter.exp))
+        sig = tuple((wl.n, tuple(sorted(map(len, wl.words)))) for wl in self.lists)
+        profiles = {
+            label: tuple(sorted((sig[i], k) for i, k in Counter(i for i, _ in occ).items()))
+            for label, occ in hits.items()
+        }
+        return SLWIndex(hits, sig, profiles)
 
     def edge_map(self) -> dict[str, tuple[str, str]]:
         return {label: (tail, head) for label, tail, head in self.edges}
@@ -280,20 +311,6 @@ def _match_lists(left: Sequence[WordList], right: Sequence[WordList], letter_map
     return False
 
 
-def _list_signature(wl: WordList) -> tuple:
-    return (wl.n, tuple(sorted(len(w) for w in wl.words)))
-
-
-def _letter_profile(s: SLWGraph, label: str) -> tuple:
-    # occurrence pattern of one letter, invariant under relabeling
-    per_list = []
-    for wl in s.lists:
-        count = sum(1 for w in wl.words for letter in w if letter.edge == label)
-        if count:
-            per_list.append((_list_signature(wl), count))
-    return tuple(sorted(per_list))
-
-
 def slw_equivalent(
     s1: SLWGraph, s2: SLWGraph, letter_map: Mapping[str, str] | None = None
 ) -> dict[str, str] | None:
@@ -313,18 +330,21 @@ def slw_equivalent(
         if sorted(m) != sorted(labels1) or sorted(m.values()) != sorted(labels2):
             raise ValueError("letter map is not a bijection between the edge labels")
         return dict(m) if _match_lists(s1.lists, s2.lists, m) else None
-    if sorted(map(_list_signature, s1.lists)) != sorted(map(_list_signature, s2.lists)):
+    if sorted(s1.index.signatures) != sorted(s2.index.signatures):
         return None
-    prof2: dict[tuple, list[str]] = defaultdict(list)
+    prof1, prof2 = s1.index.profiles, s2.index.profiles
+    by_profile: dict[tuple, list[str]] = defaultdict(list)
     for label in labels2:
-        prof2[_letter_profile(s2, label)].append(label)
-    order = sorted(labels1, key=lambda e: _letter_profile(s1, e))
+        by_profile[prof2[label]].append(label)
+    # letters in profile order, each with its candidates in label order
+    order = sorted(labels1, key=prof1.__getitem__)
+    cands = [by_profile.get(prof1[label], ()) for label in order]
 
     def search(i: int, m: dict[str, str], used: set[str]) -> dict[str, str] | None:
         if i == len(order):
             return dict(m) if _match_lists(s1.lists, s2.lists, m) else None
         label = order[i]
-        for cand in prof2.get(_letter_profile(s1, label), ()):
+        for cand in cands[i]:
             if cand in used:
                 continue
             m[label] = cand
@@ -378,15 +398,6 @@ class SLWSurfaceCheck:
     vertices_ok: bool
 
 
-def _occurrences(s: SLWGraph) -> Counter[str]:
-    counts: Counter[str] = Counter()
-    for wl in s.lists:
-        for w in wl.words:
-            for letter in w:
-                counts[letter.edge] += 1
-    return counts
-
-
 def _corner_classes(s: SLWGraph) -> dict[str, int]:
     """Number of dart equivalence classes at every vertex.
 
@@ -411,8 +422,7 @@ def _corner_classes(s: SLWGraph) -> dict[str, int]:
 
 def slw_surface_check(s: SLWGraph) -> SLWSurfaceCheck:
     """Closed-surface conditions: edge coverage and vertex corner classes."""
-    counts = _occurrences(s)
-    edges_ok = all(counts[label] == 2 for label in s.labels())
+    edges_ok = all(len(s.index.hits[label]) == 2 for label in s.labels())
     vertices_ok = all(k == 1 for k in _corner_classes(s).values())
     return SLWSurfaceCheck(edges_ok, vertices_ok)
 
@@ -428,29 +438,22 @@ def slw_euler(s: SLWGraph) -> int:
 
 
 def _slw_components(s: SLWGraph) -> int:
-    emap = s.edge_map()
     nodes: list[object] = [("v", v) for v in s.vertices]
     nodes.extend(("list", i) for i in range(len(s.lists)))
     pairs: list[tuple[object, object]] = [(("v", tail), ("v", head)) for _, tail, head in s.edges]
-    pairs.extend(
-        (("list", i), ("v", emap[letter.edge][0]))
-        for i, wl in enumerate(s.lists)
-        for w in wl.words
-        for letter in w
-    )
+    pairs.extend((("list", i), ("v", tail)) for label, tail, _ in s.edges for i, _ in s.index.hits[label])
     return len(classes(nodes, pairs))
 
 
-def _boundary_circles(s: SLWGraph, counts: Counter[str]) -> int:
+def _boundary_circles(s: SLWGraph) -> int:
     """Circles formed by the once-covered edges (the free boundary)."""
-    free = [label for label, _, _ in s.edges if counts[label] == 1]
+    free = [(label, tail, head) for label, tail, head in s.edges if len(s.index.hits[label]) == 1]
     at_vertex: dict[str, list[str]] = defaultdict(list)
-    for label, tail, head in s.edges:
-        if counts[label] == 1:
-            at_vertex[tail].append(label)
-            at_vertex[head].append(label)
+    for label, tail, head in free:
+        at_vertex[tail].append(label)
+        at_vertex[head].append(label)
     pairs = [(labels[0], other) for labels in at_vertex.values() for other in labels[1:]]
-    return len(classes(free, pairs))
+    return len(classes([label for label, _, _ in free], pairs))
 
 
 def _orientable_gluing(s: SLWGraph) -> bool:
@@ -462,13 +465,8 @@ def _orientable_gluing(s: SLWGraph) -> bool:
     """
     if any(wl.n < 0 for wl in s.lists):
         return False
-    hits: dict[str, list[tuple[int, int]]] = defaultdict(list)
-    for i, wl in enumerate(s.lists):
-        for w in wl.words:
-            for letter in w:
-                hits[letter.edge].append((i, letter.exp))
     arcs: list[list[tuple[str, int, bool]]] = [[] for _ in s.lists]
-    for label, occ in hits.items():
+    for label, occ in s.index.hits.items():
         if len(occ) == 2:
             # two traversals the same way cancel only if one stratum is reversed
             (i, x), (j, y) = occ
@@ -486,19 +484,17 @@ def classify_slw(s: SLWGraph) -> SurfaceType:
     """
     if not s.vertices and not s.lists:
         raise EmptyComplex("SLW-graph has no cells")
-    counts = _occurrences(s)
+    hits = s.index.hits
     for label in s.labels():
-        if counts[label] not in (1, 2):
-            raise NotSurface(
-                f"edge {label!r} appears {counts[label]} times in the words"
-            )
+        if len(hits[label]) not in (1, 2):
+            raise NotSurface(f"edge {label!r} appears {len(hits[label])} times in the words")
     for v, k in sorted(_corner_classes(s).items()):
         if k != 1:
             raise NotSurface(f"vertex {v!r} carries {k} corner classes")
     if _slw_components(s) != 1:
         raise Disconnected("the stratified set is disconnected")
     chi = slw_euler(s)
-    b = _boundary_circles(s, counts)
+    b = _boundary_circles(s)
     orientable = _orientable_gluing(s)
     return SurfaceType(orientable, genus(chi, orientable, b), b, chi)
 

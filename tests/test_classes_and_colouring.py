@@ -22,7 +22,6 @@ from surfclass.rotation import _require_connected, rs_orientable
 from surfclass.slw import (
     _boundary_circles,
     _corner_classes,
-    _occurrences,
     _orientable_gluing,
     _slw_components,
 )
@@ -87,6 +86,11 @@ def ref_slw_components(s):
             for letter in w:
                 union(("list", i), ("v", emap[letter.edge][0]))
     return len({find(x) for x in nodes})
+
+
+def occurrence_counts(s):
+    # each edge label's occurrence count, read from the SLW index
+    return {label: len(occ) for label, occ in s.index.hits.items()}
 
 
 def ref_boundary_circles(s, counts):
@@ -275,18 +279,18 @@ def signed_rotation_systems(draw):
 @pytest.mark.parametrize("name", sorted(SLWS))
 def test_slw_helpers_match_reference(name):
     s = SLWS[name]
-    counts = _occurrences(s)
+    counts = occurrence_counts(s)
     assert _corner_classes(s) == ref_corner_classes(s)
     assert _slw_components(s) == ref_slw_components(s)
-    assert _boundary_circles(s, counts) == ref_boundary_circles(s, counts)
+    assert _boundary_circles(s) == ref_boundary_circles(s, counts)
     assert _orientable_gluing(s) == ref_orientable_gluing(s)
 
 
 def test_slw_inputs_reach_every_branch():
     assert {1, 2} <= {_slw_components(s) for s in SLWS.values()}
     assert {_orientable_gluing(s) for s in SLWS.values()} == {True, False}
-    assert 0 in {_boundary_circles(s, _occurrences(s)) for s in SLWS.values()}
-    assert max(_boundary_circles(s, _occurrences(s)) for s in SLWS.values()) >= 3
+    assert 0 in {_boundary_circles(s) for s in SLWS.values()}
+    assert max(_boundary_circles(s) for s in SLWS.values()) >= 3
     assert max(max(_corner_classes(s).values()) for s in SLWS.values()) >= 2
 
 

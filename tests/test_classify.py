@@ -8,6 +8,7 @@ from surfclass import (
     SurfaceType,
     classify_surface,
     close,
+    component_subcomplexes,
     cw_complex,
     genus,
     is_disk,
@@ -115,3 +116,12 @@ def test_is_sphere_rejects_disconnected():
                  ("a", "b", "c"), ("a", "b", "d")])
     assert not is_sphere(two)
     assert not is_disk(two)
+
+
+def test_5000_disjoint_triangles_are_5000_disks_in_component_order():
+    tris = [(f"x{i:04}", f"y{i:04}", f"z{i:04}") for i in range(5000)]
+    cx = close(tris)
+    assert [sorted(sub.vertex_set()) for sub in component_subcomplexes(cx)] == [list(t) for t in tris]
+    types = classify_surface(cx)
+    assert [t.name() for t in types] == ["F_{0,1}"] * 5000
+    assert set(types) == {SurfaceType(True, 0, 1, 1)}

@@ -13,6 +13,7 @@ from surfclass import (
     orient2,
     orient3,
 )
+from surfclass.orientation import _perm_parity
 
 TETRA_BOUNDARY = close([("0", "1", "2"), ("0", "1", "3"), ("0", "2", "3"), ("1", "2", "3")])
 TWISTED_QUADS = cw_complex([("0", "1", "2", "3"), ("2", "3", "4", "5"), ("0", "1", "4", "5")])
@@ -96,6 +97,32 @@ def test_triangle_parities_of_even_and_odd_orderings():
     assert set(even) == set(odd)
     for tri in even:
         assert even[tri] == -odd[tri]
+
+
+def ref_perm_parity(seq):
+    """The swap-counting parity the inversion count replaced."""
+    order = sorted(range(len(seq)), key=lambda i: seq[i])
+    swaps = 0
+    for i in range(len(order)):
+        while order[i] != i:
+            j = order[i]
+            order[i], order[j] = order[j], order[i]
+            swaps += 1
+    return 1 if swaps % 2 == 0 else -1
+
+
+def test_perm_parity_matches_swap_counting():
+    for labels in ("0123", "01234", ("2", "10", "x", "b7", "11")):
+        for seq in itertools.permutations(labels):
+            assert _perm_parity(seq) == ref_perm_parity(seq)
+
+
+def test_triangle_parities_of_every_ordering():
+    for tet in itertools.permutations(("3", "10", "a", "2")):
+        base = ref_perm_parity(tet)
+        srt = tuple(sorted(tet))
+        want = {srt[:i] + srt[i + 1 :]: base * (-1) ** i for i in range(4)}
+        assert induced_triangle_parities(tet) == want
 
 
 def test_orient3_single_tetra():

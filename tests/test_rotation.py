@@ -223,6 +223,47 @@ def test_permutation_to_code_validates():
         permutation_to_code([(1, 9)])
 
 
+def ref_permutation_to_code(pairs):
+    """The labelling loop of permutation_to_code before it reused the
+    first-occurrence relabelling (pairs already valid)."""
+    mate = {a: b for a, b in pairs} | {b: a for a, b in pairs}
+    labels, out = {}, []
+    for pos in range(1, len(mate) + 1):
+        key = min(pos, mate[pos])
+        if key not in labels:
+            labels[key] = len(labels) + 1
+        out.append(str(labels[key]))
+    return tuple(out)
+
+
+def _involutions(points):
+    # every fixed-point-free involution of the points, as pairs in drawn order
+    if not points:
+        yield []
+        return
+    first, rest = points[0], points[1:]
+    for k, mate in enumerate(rest):
+        for tail in _involutions(rest[:k] + rest[k + 1 :]):
+            yield [(mate, first)] + tail[::-1]
+
+
+def test_permutation_to_code_matches_the_labelling_loop():
+    for n in range(5):
+        for pairs in _involutions(list(range(1, 2 * n + 1))):
+            assert permutation_to_code(pairs) == ref_permutation_to_code(pairs)
+
+
+def test_permutation_to_code_messages():
+    for pairs, message in (
+        ([(1, 1), (2, 3)], "fixed point 1 in chord permutation"),
+        ([(1, 2), (2, 3)], "point 2 paired twice"),
+        ([(1, 9)], "points must be exactly 1..2"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            permutation_to_code(pairs)
+        assert str(exc.value) == message
+
+
 def test_two_involutions_same_diagram():
     a1 = permutation_to_code([(1, 6), (2, 8), (3, 7), (4, 5)])
     a2 = permutation_to_code([(1, 7), (2, 6), (3, 4), (5, 8)])
