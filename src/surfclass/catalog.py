@@ -14,7 +14,7 @@ from .classify import SurfaceType
 from .complexes import close, cw_complex
 from .errors import UnknownFixture
 from .rotation import parse_chord_code, parse_rotation
-from .slw import Letter, WordList, slw_graph
+from .slw import parse_slw
 
 S2 = SurfaceType(True, 0, 0, 2)
 T2 = SurfaceType(True, 1, 0, 0)
@@ -52,14 +52,8 @@ def _chord(name: str, text: str, expected, note: str) -> Fixture:
     return Fixture(name, "chord", parse_chord_code(text), expected, note)
 
 
-def _w(*letters: str) -> tuple[Letter, ...]:
-    out = []
-    for tok in letters:
-        if tok.endswith("^-1"):
-            out.append(Letter(tok[:-3], -1))
-        else:
-            out.append(Letter(tok, 1))
-    return tuple(out)
+def _slw(name: str, text: str, expected, note: str) -> Fixture:
+    return Fixture(name, "slw", parse_slw(text), expected, note)
 
 
 _FIXTURES = [
@@ -191,36 +185,21 @@ _FIXTURES = [
     _chord("chord/Ch11", "12132434", F2, "four crossings on four chords"),
     _chord("chord/Ch12", "12123434", F2, "two separate crossing pairs"),
     # ----- SLW-graphs --------------------------------------------------
-    Fixture(
+    _slw(
         "slw/sphere",
-        "slw",
-        slw_graph(
-            ["P"],
-            [("a", "P", "P")],
-            [WordList(0, (_w("a"),)), WordList(0, (_w("a^-1"),))],
-        ),
+        "graph:\nv P\ne a P P\nlist n=0:\na^-1\nlist n=0:\na\n",
         S2,
         "two disks glued along one circle",
     ),
-    Fixture(
+    _slw(
         "slw/torus",
-        "slw",
-        slw_graph(
-            ["P"],
-            [("a", "P", "P"), ("b", "P", "P")],
-            [WordList(0, (_w("a", "b", "a^-1", "b^-1"),))],
-        ),
+        "graph:\nv P\ne a P P\ne b P P\nlist n=0:\na b a^-1 b^-1\n",
         T2,
         "square with opposite sides glued",
     ),
-    Fixture(
+    _slw(
         "slw/klein",
-        "slw",
-        slw_graph(
-            ["P"],
-            [("a", "P", "P"), ("b", "P", "P")],
-            [WordList(0, (_w("a", "a", "b", "b"),))],
-        ),
+        "graph:\nv P\ne a P P\ne b P P\nlist n=0:\na a b b\n",
         KL,
         "square glued with both pairs twisted",
     ),

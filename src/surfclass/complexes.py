@@ -170,9 +170,6 @@ class SimplicialComplex:
         """The 2-cells as cycles; a triangle (a,b,c) is its own 3-cycle."""
         return self.incidence.cells2
 
-    def dim(self) -> int:
-        return max(len(s) for s in self.simplices) - 1 if self.simplices else -1
-
     def counts(self) -> tuple[int, int, int, int]:
         inc = self.incidence
         return (len(inc.vertices), len(inc.edges), len(inc.cells2), len(inc.tetrahedra))
@@ -226,13 +223,6 @@ class CWComplex2:
     def tetrahedra(self) -> tuple[Simplex, ...]:
         """Always empty: a CW 2-complex has no 3-cells."""
         return self.incidence.tetrahedra
-
-    def dim(self) -> int:
-        if self.faces:
-            return 2
-        if self.edges:
-            return 1
-        return 0 if self.vertices else -1
 
     def counts(self) -> tuple[int, int, int]:
         return (len(self.vertices), len(self.edges), len(self.faces))

@@ -11,15 +11,15 @@ all-+ case.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .classify import SurfaceType, genus
 from .connectivity import classes, two_colour
 from .errors import BoundExceeded, Disconnected, InvariantError, ParseError
 
-Dart = tuple[int, int]  # (vertex index, position in its rotation)
-Flag = tuple[int, int, int]  # dart plus a side bit
 ChordCode = tuple[str, ...]
+_Darts = tuple[list[int], list[int], list[int], list[str]]  # see _darts
 
 
 def _label_key(label: str) -> tuple:
@@ -212,90 +212,71 @@ class FaceTrace:
     walks: tuple[tuple[str, ...], ...]  # edge labels along one side of each face
 
 
+def _darts(rs: RotationSystem) -> _Darts:
+    """Number the darts in rotation order: (first, vertex, mate, label).
+
+    first[v] is vertex v's first dart and first[-1] the dart count; dart
+    d sits at vertex[d], carries label[d], and mate[d] is the other end
+    of its edge.
+    """
+    first = list(accumulate(map(len, rs.rotations), initial=0))
+    vertex = [v for v, rotation in enumerate(rs.rotations) for _ in rotation]
+    label = [name for rotation in rs.rotations for name in rotation]
+    mate = [0] * len(label)
+    first_end: dict[str, int] = {}
+    for d, name in enumerate(label):
+        e = first_end.setdefault(name, d)
+        mate[d], mate[e] = e, d
+    return first, vertex, mate, label
+
+
 def trace_faces(rs: RotationSystem) -> FaceTrace:
     """Partition the traversal flags into closed face walks.
 
     A flag is a dart plus a side bit; stepping through an edge flips
     the side exactly when the edge sign is -. Orbits come in mirror
-    pairs (one per traversal direction); geometric faces are the pairs.
+    pairs (one per traversal direction) and each pair is one geometric
+    face, walked once from its least flag in (dart, side) order.
     """
-    darts: list[Dart] = [
-        (v, p) for v, vertex in enumerate(rs.rotations) for p in range(len(vertex))
-    ]
-    if not darts:
+    first, vertex, mate, label = _darts(rs)
+    if not label:
         return FaceTrace(len(rs.rotations), tuple(() for _ in rs.rotations))
     sign = rs.sign_map()
-    by_label: dict[str, list[Dart]] = {}
-    for d in darts:
-        by_label.setdefault(rs.rotations[d[0]][d[1]], []).append(d)
-    partner: dict[Dart, Dart] = {}
-    for pair in by_label.values():
-        a, b = pair
-        partner[a], partner[b] = b, a
 
-    def rho(d: Dart, step: int) -> Dart:
-        v, p = d
-        return (v, (p + step) % len(rs.rotations[v]))
+    def turn(d: int, s: int) -> int:
+        # the flag (d', s) on the dart d' that s steps round d's vertex
+        base = first[vertex[d]]
+        return 2 * (base + (d - base + s) % (first[vertex[d] + 1] - base)) + (s > 0)
 
-    def label(d: Dart) -> str:
-        return rs.rotations[d[0]][d[1]]
-
-    def step(flag: Flag) -> Flag:
-        v, p, s = flag
-        s2 = s * sign[label((v, p))]
-        nxt = rho(partner[(v, p)], s2)
-        return (nxt[0], nxt[1], s2)
-
-    def mirror(flag: Flag) -> Flag:
-        v, p, s = flag
-        d = rho((v, p), -s)
-        return (d[0], d[1], -s)
-
-    all_flags = sorted((v, p, s) for v, p in darts for s in (1, -1))
-    orbit_of: dict[Flag, int] = {}
-    orbits: list[list[Flag]] = []
-    for flag in all_flags:
-        if flag in orbit_of:
-            continue
-        orbit = []
-        cur = flag
-        while cur not in orbit_of:
-            orbit_of[cur] = len(orbits)
-            orbit.append(cur)
-            cur = step(cur)
-        if cur != flag:  # orbits of a permutation close where they start
-            raise InvariantError(f"face walk from flag {flag} closes at {cur}")
-        orbits.append(orbit)
-    # pair each orbit with its mirror image
-    if len(orbit_of) != len(all_flags):
-        raise InvariantError(f"face walks cover {len(orbit_of)} of {len(all_flags)} flags")
+    seen = [False] * (2 * len(label))  # flag (d, s) is numbered 2d + (s > 0)
     walks = []
-    paired: set[int] = set()
-    for i, orbit in enumerate(orbits):
-        if i in paired:
+    for start in range(len(seen)):
+        if seen[start]:
             continue
-        j = orbit_of[mirror(orbit[0])]
-        if j == i or j in paired or len(orbits[j]) != len(orbit):
-            raise InvariantError(f"face walk {i} has no mirror walk of its length")
-        paired.add(i)
-        paired.add(j)
-        walks.append(tuple(label((v, p)) for v, p, _ in orbit))
+        walk = []
+        f = start
+        while not seen[f]:
+            d, s = f >> 1, 1 if f & 1 else -1
+            seen[f] = seen[turn(d, -s)] = True  # the flag and its mirror
+            walk.append(label[d])
+            f = turn(mate[d], s * sign[label[d]])
+        if f != start:  # orbits of a permutation close where they start
+            raise InvariantError(f"face walk from flag {start} closes at {f}")
+        walks.append(tuple(walk))
     if sum(map(len, walks)) != 2 * rs.edge_count():
         raise InvariantError("face walks do not traverse every edge twice")
     return FaceTrace(len(walks), tuple(walks))
 
 
-def _require_connected(rs: RotationSystem) -> dict[str, list[int]]:
-    """Raise Disconnected unless the graph is connected; return each edge's end vertices."""
+def _require_connected(rs: RotationSystem) -> _Darts:
+    """Raise Disconnected unless the graph is connected; return its dart table."""
     if not rs.rotations:
         raise Disconnected("rotation system has no vertices")
-    ends: dict[str, list[int]] = {}
-    for v, vertex in enumerate(rs.rotations):
-        for label in vertex:
-            ends.setdefault(label, []).append(v)
-    if len(classes(range(len(rs.rotations)), ends.values())) != 1:
+    darts = _darts(rs)
+    vertex, mate = darts[1], darts[2]
+    if len(classes(range(len(rs.rotations)), zip(vertex, (vertex[m] for m in mate)))) != 1:
         raise Disconnected("the underlying graph is disconnected")
-    return ends
+    return darts
 
 
 def rs_orientable(rs: RotationSystem) -> bool:
@@ -304,13 +285,14 @@ def rs_orientable(rs: RotationSystem) -> bool:
     The system is orientable iff every cycle carries an even number of
     - edges; a - loop is such a cycle on its own.
     """
+    first, vertex, mate, label = _require_connected(rs)
     sign = rs.sign_map()
-    arcs: list[list[tuple[str, int, bool]]] = [[] for _ in rs.rotations]
-    for label, (a, b) in _require_connected(rs).items():
-        arcs[a].append((label, b, sign[label] < 0))
-        if b != a:
-            arcs[b].append((label, a, sign[label] < 0))
-    return two_colour(len(arcs), arcs.__getitem__)[1] is None
+
+    def arcs(v: int):
+        for d in range(first[v], first[v + 1]):
+            yield label[d], vertex[mate[d]], sign[label[d]] < 0
+
+    return two_colour(len(rs.rotations), arcs)[1] is None
 
 
 def classify_embedding(rs: RotationSystem) -> SurfaceType:
@@ -476,7 +458,7 @@ def enumerate_chords(
         try:
             i = code.index(0)
         except ValueError:
-            if _least_in_orbit(code) and genus_filter in (None, genus()):
+            if _least_in_orbit(code) and (genus_filter is None or genus() == genus_filter):
                 out.append(tuple(code))
             return
         code[i] = label

@@ -190,17 +190,15 @@ def parse_slw(text: str) -> SLWGraph:
     vertices: list[str] = []
     edges: list[tuple[str, str, str]] = []
     emap: dict[str, tuple[str, str]] = {}
-    lists: list[WordList] = []
-    words: list[Word] | None = None  # words of the open list block
-    ns: list[int] = []
+    blocks: list[tuple[int, list[Word]]] = []  # (n, words) of each list block
     for no, line in lines[1:]:
         fields = line.split()
         if fields[0] == "v":
-            if words is not None or len(fields) != 2:
+            if blocks or len(fields) != 2:
                 raise ParseError(f"misplaced or malformed vertex line {line!r}", no)
             vertices.append(fields[1])
         elif fields[0] == "e":
-            if words is not None or len(fields) != 4:
+            if blocks or len(fields) != 4:
                 raise ParseError(f"misplaced or malformed edge line {line!r}", no)
             label, tail, head = fields[1:]
             if label in emap:
@@ -215,19 +213,14 @@ def parse_slw(text: str) -> SLWGraph:
                 n = int(spec[2:-1])
             except ValueError:
                 raise ParseError(f"bad genus number in {line!r}", no) from None
-            if words is not None:
-                lists.append(WordList(ns.pop(), tuple(words)))
-            ns.append(n)
-            words = []
+            blocks.append((n, []))
         else:
-            if words is None:
+            if not blocks:
                 raise ParseError(f"word outside any list block: {line!r}", no)
             w = tuple(_parse_letter(tok, no) for tok in fields)
             _validate_word(w, emap, no)
-            words.append(w)
-    if words is not None:
-        lists.append(WordList(ns.pop(), tuple(words)))
-    return _slw(vertices, edges, lists)
+            blocks[-1][1].append(w)
+    return _slw(vertices, edges, [WordList(n, tuple(words)) for n, words in blocks])
 
 
 def slw_to_text(s: SLWGraph) -> str:

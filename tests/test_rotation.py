@@ -1,14 +1,18 @@
 from __future__ import annotations
 
 import functools
+import random
 
 import pytest
+from hypothesis import given, settings
 
 from surfclass import (
     BoundExceeded,
     Disconnected,
     ParseError,
     SurfaceType,
+    catalog_get,
+    catalog_list,
     chord_canonical,
     chord_isomorphic,
     chord_text,
@@ -24,6 +28,9 @@ from surfclass import (
     serialize_rotation,
     trace_faces,
 )
+from surfclass.errors import InvariantError
+from surfclass.rotation import FaceTrace
+from test_classes_and_colouring import ROTATIONS, signed_rotation_systems
 
 S2 = SurfaceType(True, 0, 0, 2)
 T2 = SurfaceType(True, 1, 0, 0)
@@ -128,6 +135,107 @@ def test_trace_faces_walk_lengths_sum_to_twice_edges():
 def test_trace_faces_edgeless_graph():
     rs = rotation_system([(), ()])
     assert trace_faces(rs).faces == 2
+
+
+def ref_trace_faces(rs):
+    """trace_faces before the dart table: every orbit walked, then each
+    paired with its mirror orbit."""
+    darts = [(v, p) for v, vertex in enumerate(rs.rotations) for p in range(len(vertex))]
+    if not darts:
+        return FaceTrace(len(rs.rotations), tuple(() for _ in rs.rotations))
+    sign = rs.sign_map()
+    by_label = {}
+    for d in darts:
+        by_label.setdefault(rs.rotations[d[0]][d[1]], []).append(d)
+    partner = {}
+    for pair in by_label.values():
+        a, b = pair
+        partner[a], partner[b] = b, a
+
+    def rho(d, step):
+        v, p = d
+        return (v, (p + step) % len(rs.rotations[v]))
+
+    def label(d):
+        return rs.rotations[d[0]][d[1]]
+
+    def step(flag):
+        v, p, s = flag
+        s2 = s * sign[label((v, p))]
+        nxt = rho(partner[(v, p)], s2)
+        return (nxt[0], nxt[1], s2)
+
+    def mirror(flag):
+        v, p, s = flag
+        d = rho((v, p), -s)
+        return (d[0], d[1], -s)
+
+    all_flags = sorted((v, p, s) for v, p in darts for s in (1, -1))
+    orbit_of = {}
+    orbits = []
+    for flag in all_flags:
+        if flag in orbit_of:
+            continue
+        orbit = []
+        cur = flag
+        while cur not in orbit_of:
+            orbit_of[cur] = len(orbits)
+            orbit.append(cur)
+            cur = step(cur)
+        if cur != flag:
+            raise InvariantError(f"face walk from flag {flag} closes at {cur}")
+        orbits.append(orbit)
+    if len(orbit_of) != len(all_flags):
+        raise InvariantError(f"face walks cover {len(orbit_of)} of {len(all_flags)} flags")
+    walks = []
+    paired = set()
+    for i, orbit in enumerate(orbits):
+        if i in paired:
+            continue
+        j = orbit_of[mirror(orbit[0])]
+        if j == i or j in paired or len(orbits[j]) != len(orbit):
+            raise InvariantError(f"face walk {i} has no mirror walk of its length")
+        paired.add(i)
+        paired.add(j)
+        walks.append(tuple(label((v, p)) for v, p, _ in orbit))
+    if sum(map(len, walks)) != 2 * rs.edge_count():
+        raise InvariantError("face walks do not traverse every edge twice")
+    return FaceTrace(len(walks), tuple(walks))
+
+
+CATALOG_ROTATIONS = {
+    **ROTATIONS,
+    **{
+        name: chord_to_rotation(catalog_get(name).payload)
+        for name in catalog_list()
+        if catalog_get(name).kind == "chord"
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_ROTATIONS))
+def test_trace_faces_matches_reference_on_catalog(name):
+    rs = CATALOG_ROTATIONS[name]
+    assert trace_faces(rs) == ref_trace_faces(rs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(signed_rotation_systems())
+def test_trace_faces_matches_reference_on_drawn_systems(rs):
+    assert trace_faces(rs) == ref_trace_faces(rs)
+
+
+def test_trace_faces_matches_reference_on_a_large_system():
+    rng = random.Random(15)
+    rotations = [[] for _ in range(2000)]
+    signs = {}
+    for e in range(6000):
+        for _ in range(2):
+            vertex = rotations[rng.randrange(2000)]
+            vertex.insert(rng.randint(0, len(vertex)), f"e{e}")
+        signs[f"e{e}"] = rng.choice((1, -1))
+    rs = rotation_system(rotations, signs)
+    assert trace_faces(rs) == ref_trace_faces(rs)
 
 
 def test_rs_orientable():
