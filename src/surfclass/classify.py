@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import Complex, euler_characteristic
-from .connectivity import component_subcomplexes, components
-from .errors import EmptyComplex, InvalidSurface, NotSurface
+from .connectivity import classes, component_subcomplexes
+from .errors import InvalidSurface, NotSurface
 from .orientation import OrientationWitness, orient2
 from .surface import is_surface
 
@@ -81,10 +81,7 @@ def classify_surface(cx: Complex) -> list[SurfaceType]:
 
 def _closed_and_euler(cx: Complex) -> tuple[bool | None, int] | None:
     # (closed, chi) of a connected surface; None for anything else
-    try:
-        if components(cx).count() != 1:
-            return None
-    except EmptyComplex:
+    if len(classes(cx.vertex_set(), cx.edge_set())) != 1:  # an empty complex has 0 classes
         return None
     chk = is_surface(cx)
     return (chk.closed, euler_characteristic(cx)) if chk.surface else None

@@ -138,9 +138,20 @@ class Incidence:
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """A face-closed set of simplices of dimension at most 3."""
+    """A face-closed set of simplices of dimension at most 3, each as simplex() makes it."""
 
     simplices: frozenset[Simplex]
+
+    def __post_init__(self) -> None:
+        # the package's own builders make closed sets and skip this check (_scx)
+        bad = [s for s in self.simplices if type(s) is not tuple or not 0 < len(s) <= 4
+               or any(type(v) is not str for v in s) or any(a >= b for a, b in zip(s, s[1:]))]
+        if bad:
+            raise ParseError(f"simplex {min(bad, key=repr)!r} is not a sorted tuple of 1 to 4 distinct labels")
+        missing = [(s, f) for s in self.simplices for f in combinations(s, len(s) - 1)
+                   if f and f not in self.simplices]
+        if missing:
+            raise ParseError("simplex {} lacks its face {}".format(*map(" ".join, min(missing))))
 
     @cached_property
     def incidence(self) -> Incidence:
@@ -186,7 +197,14 @@ def _closure(tops: Iterable[Simplex]) -> SimplicialComplex:
     for top in tops:
         for k in range(1, len(top) + 1):
             out.update(combinations(top, k))
-    return SimplicialComplex(frozenset(out))
+    return _scx(frozenset(out))
+
+
+def _scx(simplices: frozenset[Simplex]) -> SimplicialComplex:
+    # a complex the package has built face-closed, made without the check
+    cx = object.__new__(SimplicialComplex)
+    object.__setattr__(cx, "simplices", simplices)
+    return cx
 
 
 # =====================================================================
@@ -457,7 +475,7 @@ def relabel(cx: Complex, mapping: Mapping[str, str]) -> Complex:
         return str(mapping.get(v, v))
 
     if isinstance(cx, SimplicialComplex):
-        return SimplicialComplex(frozenset(tuple(sorted(m(v) for v in s)) for s in cx.simplices))
+        return _scx(frozenset(tuple(sorted(m(v) for v in s)) for s in cx.simplices))
     return CWComplex2(
         frozenset(m(v) for v in cx.vertices),
         frozenset(norm_edge(m(a), m(b)) for a, b in cx.edges),
@@ -479,7 +497,7 @@ def split_cells(cx: Complex, part: Callable[[tuple[str, ...]], int], n: int) -> 
         return out[:n]
 
     if isinstance(cx, SimplicialComplex):
-        return [SimplicialComplex(frozenset(cells)) for cells in deal(cx.simplices)]
+        return [_scx(frozenset(cells)) for cells in deal(cx.simplices)]
     parts = zip(deal((v,) for v in cx.vertices), deal(cx.edges), deal(cx.faces))
     return [CWComplex2(frozenset(v for (v,) in vs), frozenset(es), tuple(fs)) for vs, es, fs in parts]
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .classify import SurfaceType, classify_surface, is_disk, is_sphere
-from .complexes import SimplicialComplex, Simplex, close, euler_characteristic
-from .errors import InvariantError, NotManifold, NotSurface
+from .complexes import SimplicialComplex, Simplex, _scx, close, euler_characteristic
+from .errors import InvariantError, NotManifold
 from .surface import BOUNDARY, _facet_status
 
 
@@ -51,7 +51,7 @@ def vertex_link3(cx: SimplicialComplex, v: str) -> SimplicialComplex:
     if v not in cx.vertex_set():
         raise ValueError(f"no vertex {v!r} in complex")
     star = cx.incidence.star.get(v, ())
-    return SimplicialComplex(frozenset(tuple(w for w in s if w != v) for s in star))
+    return _scx(frozenset(tuple(w for w in s if w != v) for s in star))
 
 
 def is_3manifold(cx: SimplicialComplex) -> Manifold3Check:
@@ -85,11 +85,8 @@ def is_3manifold(cx: SimplicialComplex) -> Manifold3Check:
             )
     closed = not boundary_tris
     boundary_types: tuple[SurfaceType, ...] = ()
-    if boundary_tris:
-        try:
-            boundary_types = tuple(classify_surface(close(boundary_tris)))
-        except NotSurface as exc:  # pragma: no cover - links already vetted
-            return Manifold3Check(False, None, (), exc)
+    if boundary_tris:  # a closed surface, since every vertex link is a sphere or a disk
+        boundary_types = tuple(classify_surface(close(boundary_tris)))
     if closed and euler_characteristic(cx) != 0:
         raise InvariantError(
             f"closed 3-manifold with Euler characteristic {euler_characteristic(cx)}, not 0"

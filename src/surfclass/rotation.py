@@ -11,6 +11,7 @@ all-+ case.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from typing import Hashable, Iterable, Mapping, Sequence
 
@@ -19,7 +20,7 @@ from .connectivity import classes, two_colour
 from .errors import BoundExceeded, Disconnected, InvariantError, ParseError
 
 ChordCode = tuple[str, ...]
-_Darts = tuple[list[int], list[int], list[int], list[str]]  # see _darts
+_Darts = tuple[list[int], list[int], list[int], list[str], list[int]]  # see RotationSystem.darts
 
 
 def _label_key(label: str) -> tuple:
@@ -45,6 +46,24 @@ class RotationSystem:
 
     def vertex_count(self) -> int:
         return len(self.rotations)
+
+    @cached_property
+    def darts(self) -> _Darts:
+        """The darts numbered in rotation order: (first, vertex, mate, label, sign).
+
+        first[v] is vertex v's first dart and first[-1] the dart count; dart
+        d sits at vertex[d], carries label[d] and its edge's sign[d], and
+        mate[d] is the other end of its edge. Built once, on first use.
+        """
+        first = list(accumulate(map(len, self.rotations), initial=0))
+        vertex = [v for v, rotation in enumerate(self.rotations) for _ in rotation]
+        label = [name for rotation in self.rotations for name in rotation]
+        mate = [0] * len(label)
+        first_end: dict[str, int] = {}
+        for d, name in enumerate(label):
+            e = first_end.setdefault(name, d)
+            mate[d], mate[e] = e, d
+        return first, vertex, mate, label, list(map(dict(self.signs).__getitem__, label))
 
 
 def rotation_system(
@@ -212,24 +231,6 @@ class FaceTrace:
     walks: tuple[tuple[str, ...], ...]  # edge labels along one side of each face
 
 
-def _darts(rs: RotationSystem) -> _Darts:
-    """Number the darts in rotation order: (first, vertex, mate, label).
-
-    first[v] is vertex v's first dart and first[-1] the dart count; dart
-    d sits at vertex[d], carries label[d], and mate[d] is the other end
-    of its edge.
-    """
-    first = list(accumulate(map(len, rs.rotations), initial=0))
-    vertex = [v for v, rotation in enumerate(rs.rotations) for _ in rotation]
-    label = [name for rotation in rs.rotations for name in rotation]
-    mate = [0] * len(label)
-    first_end: dict[str, int] = {}
-    for d, name in enumerate(label):
-        e = first_end.setdefault(name, d)
-        mate[d], mate[e] = e, d
-    return first, vertex, mate, label
-
-
 def trace_faces(rs: RotationSystem) -> FaceTrace:
     """Partition the traversal flags into closed face walks.
 
@@ -238,10 +239,9 @@ def trace_faces(rs: RotationSystem) -> FaceTrace:
     pairs (one per traversal direction) and each pair is one geometric
     face, walked once from its least flag in (dart, side) order.
     """
-    first, vertex, mate, label = _darts(rs)
+    first, vertex, mate, label, sign = rs.darts
     if not label:
         return FaceTrace(len(rs.rotations), tuple(() for _ in rs.rotations))
-    sign = rs.sign_map()
 
     def turn(d: int, s: int) -> int:
         # the flag (d', s) on the dart d' that s steps round d's vertex
@@ -259,7 +259,7 @@ def trace_faces(rs: RotationSystem) -> FaceTrace:
             d, s = f >> 1, 1 if f & 1 else -1
             seen[f] = seen[turn(d, -s)] = True  # the flag and its mirror
             walk.append(label[d])
-            f = turn(mate[d], s * sign[label[d]])
+            f = turn(mate[d], s * sign[d])
         if f != start:  # orbits of a permutation close where they start
             raise InvariantError(f"face walk from flag {start} closes at {f}")
         walks.append(tuple(walk))
@@ -268,15 +268,13 @@ def trace_faces(rs: RotationSystem) -> FaceTrace:
     return FaceTrace(len(walks), tuple(walks))
 
 
-def _require_connected(rs: RotationSystem) -> _Darts:
-    """Raise Disconnected unless the graph is connected; return its dart table."""
+def _require_connected(rs: RotationSystem) -> None:
+    """Raise Disconnected unless the graph is connected."""
     if not rs.rotations:
         raise Disconnected("rotation system has no vertices")
-    darts = _darts(rs)
-    vertex, mate = darts[1], darts[2]
+    _, vertex, mate, _, _ = rs.darts
     if len(classes(range(len(rs.rotations)), zip(vertex, (vertex[m] for m in mate)))) != 1:
         raise Disconnected("the underlying graph is disconnected")
-    return darts
 
 
 def rs_orientable(rs: RotationSystem) -> bool:
@@ -285,12 +283,12 @@ def rs_orientable(rs: RotationSystem) -> bool:
     The system is orientable iff every cycle carries an even number of
     - edges; a - loop is such a cycle on its own.
     """
-    first, vertex, mate, label = _require_connected(rs)
-    sign = rs.sign_map()
+    _require_connected(rs)
+    first, vertex, mate, label, sign = rs.darts
 
     def arcs(v: int):
         for d in range(first[v], first[v + 1]):
-            yield label[d], vertex[mate[d]], sign[label[d]] < 0
+            yield label[d], vertex[mate[d]], sign[d] < 0
 
     return two_colour(len(rs.rotations), arcs)[1] is None
 

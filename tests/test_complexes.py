@@ -4,6 +4,7 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from surfclass import (
     CWComplex2,
@@ -13,6 +14,7 @@ from surfclass import (
     SimplicialComplex,
     UnsupportedDimension,
     close,
+    component_subcomplexes,
     cw_complex,
     euler_characteristic,
     induced_subcomplex,
@@ -23,6 +25,7 @@ from surfclass import (
     skeleton1,
     to_json_obj,
     to_text,
+    vertex_link3,
 )
 
 
@@ -177,3 +180,89 @@ def test_induced_subcomplex_keeps_contained_cells():
     assert sub.triangles() == (("0", "1", "2"),)
     assert ("2", "3") in sub.edge_set()
     assert "4" not in sub.vertex_set()
+
+
+# ---------------------------------------------------------------------
+# face closure: a complex built directly is checked where it is made
+# ---------------------------------------------------------------------
+
+TWO_TRIANGLES = close([("0", "1", "2"), ("0", "2", "3")])
+
+NOT_A_COMPLEX = {
+    "bare_triangle": ({("0", "1", "2")}, "simplex 0 1 2 lacks its face 0 1"),
+    "two_bare_triangles": ({("0", "1", "2"), ("0", "3", "4")}, "simplex 0 1 2 lacks its face 0 1"),
+    "edges_taken_out": (TWO_TRIANGLES.simplices - TWO_TRIANGLES.edge_set(), "simplex 0 1 2 lacks its face 0 1"),
+    "missing_vertex": ({("0", "1"), ("1",)}, "simplex 0 1 lacks its face 0"),
+    "tetrahedron_missing_a_triangle": (
+        close([("0", "1", "2", "3")]).simplices - {("1", "2", "3")}, "simplex 0 1 2 3 lacks its face 1 2 3",
+    ),
+    "unsorted": ({("1", "0"), ("0",), ("1",)}, "simplex ('1', '0') is not"),
+    "int_label": ({(0,), ("1",)}, "simplex (0,) is not"),
+    "int_among_str": ({("0", 1), ("0",)}, "simplex ('0', 1) is not"),
+    "repeated_label": ({("0", "0")}, "simplex ('0', '0') is not"),
+    "empty_simplex": ({()}, "simplex () is not"),
+    "five_labels": ({tuple("01234")}, "simplex ('0', '1', '2', '3', '4') is not"),
+    "list_not_tuple": ([["0"]], "simplex ['0'] is not"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_A_COMPLEX))
+def test_direct_construction_rejects_what_is_not_a_complex(name):
+    simplices, message = NOT_A_COMPLEX[name]
+    with pytest.raises(ParseError) as ei:
+        SimplicialComplex(simplices)
+    assert type(ei.value) is ParseError
+    if message.endswith(" is not"):
+        message += " a sorted tuple of 1 to 4 distinct labels"
+    assert str(ei.value) == message
+
+
+def test_rejection_names_the_first_bad_simplex_in_any_insertion_order():
+    # the set's iteration order depends on the hash seed and on insertion;
+    # the message must not
+    tops = [("0", "1", "2"), ("0", "3", "4"), ("1", "3"), ("2", "3", "4")]
+    forms = [("3",), ("1", "0"), (2,), ("a", "a")]
+    for bad, expect in ((tops, "simplex 0 1 2 lacks its face 0 1"), (forms, "simplex ('1', '0')")):
+        messages = set()
+        for order in itertools.permutations(bad):
+            with pytest.raises(ParseError) as ei:
+                SimplicialComplex(frozenset(order))
+            messages.add(str(ei.value))
+        assert len(messages) == 1
+        assert messages.pop().startswith(expect)
+
+
+def test_direct_construction_accepts_closed_sets():
+    for cx in (SimplicialComplex(frozenset()), TWO_TRIANGLES, close([("0", "1", "2", "3"), ("4",)])):
+        assert SimplicialComplex(frozenset(cx.simplices)) == cx
+
+
+closed_tops = st.lists(
+    st.lists(st.sampled_from(["0", "1", "2", "3", "4", "5"]), min_size=1, max_size=4, unique=True),
+    min_size=1, max_size=5,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(closed_tops, st.data())
+def test_construction_succeeds_exactly_on_face_closed_sets(tops, data):
+    cx = close(tops)
+    drop = data.draw(st.sets(st.sampled_from(sorted(cx.simplices)), max_size=3))
+    simplices = cx.simplices - drop
+    closed = close(simplices).simplices == simplices
+    try:
+        SimplicialComplex(simplices)
+        assert closed
+    except ParseError:
+        assert not closed
+
+
+@settings(max_examples=100, deadline=None)
+@given(closed_tops)
+def test_the_package_builders_make_face_closed_complexes(tops):
+    # each builder skips the check, so check what it makes
+    cx = close(tops)
+    made = [parse_complex(to_text(cx)), relabel(cx, {"0": "9", "9": "0"}), induced_subcomplex(cx, {"0", "1", "2", "3"})]
+    made += component_subcomplexes(cx) + [vertex_link3(cx, v) for v in sorted(cx.vertex_set())]
+    for out in made:
+        assert SimplicialComplex(out.simplices) == out

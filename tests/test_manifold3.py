@@ -6,6 +6,7 @@ import pytest
 
 from surfclass import (
     NotManifold,
+    ParseError,
     SimplicialComplex,
     SurfaceType,
     close,
@@ -106,12 +107,9 @@ def test_rejects_edge_pinch():
 
 
 def test_rejects_tetrahedron_without_its_faces():
-    # the dataclass does not enforce face closure, so the closure check
-    # must compare both ways: here nothing is loose, but faces are missing
-    cx = SimplicialComplex(frozenset({("0", "1", "2", "3")}))
-    chk = is_3manifold(cx)
-    assert not chk.manifold
-    assert "closure" in str(chk.defect)
+    # a tetrahedron without its faces is never a complex, let alone a manifold
+    with pytest.raises(ParseError, match="lacks its face 0 1 2$"):
+        SimplicialComplex(frozenset({("0", "1", "2", "3")}))
 
 
 def test_is_3manifold_closes_the_tetrahedra_once(monkeypatch):

@@ -1,11 +1,15 @@
-"""The command line is total: every input ends in a documented exit code.
+"""The command line and the library parsers are total.
 
-Exit codes are 0 (a verdict), 2 (usage, unknown name, bound exceeded),
-3 (parse error) and 4 (not a surface / manifold / nonempty complex).
-The inputs are drawn by structure, since random characters rarely get
-past the first parse check: deeply nested braces, words and faces 10^4
-long, duplicate labels, JSON of the wrong shape or nesting, edge cases
-of the u= sign vector, and CW input to classify3.
+Every CLI input ends in a documented exit code: 0 (a verdict), 2 (usage,
+unknown name, bound exceeded), 3 (parse error) and 4 (not a surface /
+manifold / nonempty complex). Every parser called directly, and a
+simplicial complex built directly, returns a value or raises a
+TopologyError. The inputs are drawn by structure, since random
+characters rarely get past the first parse check: deeply nested braces,
+words and faces 10^4 long, duplicate labels, JSON of the wrong shape or
+nesting, edge cases of the u= sign vector, and CW input to classify3.
+The error branches that no drawn or catalog input reaches are pinned
+one by one at the end.
 """
 
 from __future__ import annotations
@@ -19,7 +23,32 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from surfclass import slw_from_complex, slw_to_text
+from surfclass import (
+    Disconnected,
+    InvalidSurface,
+    Letter,
+    MalformedWord,
+    NotIsomorphism,
+    ParseError,
+    SimplicialComplex,
+    SizeMismatch,
+    TopologyError,
+    WordList,
+    classify_embedding,
+    extends_to_homeomorphism,
+    genus,
+    parse_chord_code,
+    parse_complex,
+    parse_cw2,
+    parse_rotation,
+    parse_simplicial,
+    parse_slw,
+    rotation_system,
+    slw_equivalent,
+    slw_from_complex,
+    slw_graph,
+    slw_to_text,
+)
 from surfclass.cli import main
 from test_incidence import grid
 
@@ -191,3 +220,106 @@ def test_slw_equiv_of_a_15x15_torus_with_itself():
 def test_catalog_commands_are_total(name, fmt):
     assert cli(["catalog", "list", "--format", fmt]) in EXITS
     assert cli(["catalog", "show", name, "--format", fmt]) in EXITS
+
+
+# ---------------------------------------------------------------------
+# library parsers, called directly
+# ---------------------------------------------------------------------
+
+
+def total(parse, *args) -> None:
+    """Call parse; a TopologyError is an answer, any other exception fails the test."""
+    try:
+        parse(*args)
+    except TopologyError:
+        pass
+
+
+@FEW
+@given(complex_texts, st.sampled_from(["auto", "scx", "cw2"]))
+def test_complex_parsers_are_total(text, fmt):
+    total(parse_complex, text, fmt)
+    total(parse_cw2, text)
+    total(parse_simplicial, text)
+
+
+@FEW
+@given(rotation_bodies, sign_vectors)
+def test_rotation_parser_is_total(body, signs):
+    total(parse_rotation, body + signs)
+
+
+@FEW
+@given(chord_codes)
+def test_chord_parser_is_total(code):
+    total(parse_chord_code, code)
+
+
+@FEW
+@given(slw_texts)
+def test_slw_parser_is_total(text):
+    total(parse_slw, text)
+
+
+simplex_sets = st.frozensets(
+    st.lists(st.one_of(st.sampled_from(["0", "1", "2", "3", "a"]), st.integers(0, 2)), max_size=5).map(tuple),
+    max_size=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(simplex_sets)
+def test_simplicial_complex_constructor_is_total(simplices):
+    total(SimplicialComplex, simplices)
+
+
+# ---------------------------------------------------------------------
+# error branches that no other test reaches
+# ---------------------------------------------------------------------
+
+ONE_LIST = parse_slw("graph:\ne a P P\nlist n=0:\na\n")
+TWO_LISTS = parse_slw("graph:\ne a P P\nlist n=0:\na\nlist n=0:\na\n")
+
+# name: (call, exception type or None for a value, message pattern or value)
+ERROR_BRANCHES = {
+    "json_empty_simplices": (lambda: parse_complex('{"simplices": []}'), ParseError, "must be a nonempty list"),
+    "json_undecodable": (lambda: parse_complex("{bad"), ParseError, "bad JSON"),
+    "unknown_format": (lambda: parse_complex("0 1", fmt="xyz"), ValueError, "unknown format 'xyz'"),
+    "rotation_closes_too_early": (lambda: parse_rotation("{1}},{1"), ParseError, "unbalanced braces"),
+    "rotation_empty_label": (lambda: parse_rotation("{{1,,1}}"), ParseError, "empty label in vertex group"),
+    "embedding_without_vertices": (
+        lambda: classify_embedding(rotation_system(())), Disconnected, "no vertices",
+    ),
+    "slw_bare_inverse": (
+        lambda: parse_slw("graph:\ne a P P\nlist n=0:\n^-1"), MalformedWord, r"line 4: bad letter '\^-1'$",
+    ),
+    "slw_list_header": (
+        lambda: parse_slw("graph:\ne a P P\nlist x:\na"), ParseError, "expected 'list n=<int>:'",
+    ),
+    "slw_graph_exponent_2": (
+        lambda: slw_graph(["P"], [("a", "P", "P")], [WordList(0, ((Letter("a", 2),),))]),
+        MalformedWord, "letter 'a' has exponent 2",
+    ),
+    "equivalent_list_counts_differ": (
+        lambda: slw_equivalent(TWO_LISTS, ONE_LIST), SizeMismatch, "list counts differ: 2 vs 1",
+    ),
+    "extends_list_counts_differ": (
+        lambda: extends_to_homeomorphism(TWO_LISTS, ONE_LIST, {"P": "P"}, {"a": "a"}), None, False,
+    ),
+    "extends_vertex_map_not_bijective": (
+        lambda: extends_to_homeomorphism(ONE_LIST, ONE_LIST, {}, {"a": "a"}),
+        NotIsomorphism, "vertex map is not a bijection",
+    ),
+    "genus_negative_boundary": (lambda: genus(0, True, -1), InvalidSurface, "negative boundary count"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ERROR_BRANCHES))
+def test_error_branch(name):
+    call, error, expect = ERROR_BRANCHES[name]
+    if error is None:
+        assert call() == expect
+        return
+    with pytest.raises(error, match=expect) as exc:
+        call()
+    assert type(exc.value) is error
