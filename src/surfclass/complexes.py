@@ -200,11 +200,16 @@ def _closure(tops: Iterable[Simplex]) -> SimplicialComplex:
     return _scx(frozenset(out))
 
 
-def _scx(simplices: frozenset[Simplex]) -> SimplicialComplex:
-    # a complex the package has built face-closed, made without the check
-    cx = object.__new__(SimplicialComplex)
-    object.__setattr__(cx, "simplices", simplices)
+def _unchecked(cls: type, *cells: object):
+    # a complex the package has built closed, made without its constructor's check
+    cx = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, cells):
+        object.__setattr__(cx, name, value)
     return cx
+
+
+def _scx(simplices: frozenset[Simplex]) -> SimplicialComplex:
+    return _unchecked(SimplicialComplex, simplices)
 
 
 # =====================================================================
@@ -224,6 +229,22 @@ class CWComplex2:
     vertices: frozenset[str]
     edges: frozenset[Edge]
     faces: tuple[Cycle, ...]
+
+    def __post_init__(self) -> None:
+        # the package's own builders make closed complexes and skip this check (_unchecked)
+        bad = [f"vertex {v!r} is not a str label" for v in self.vertices if type(v) is not str]
+        bad += [f"edge {e!r} is not a sorted pair of distinct str labels" for e in self.edges
+                if type(e) is not tuple or len(e) != 2 or any(type(v) is not str for v in e) or e[0] >= e[1]]
+        bad += [f"face {c!r} is not a tuple of 3 or more distinct str labels" for c in self.faces
+                if type(c) is not tuple or any(type(v) is not str for v in c) or len(c) < 3 or len(set(c)) < len(c)]
+        if bad:
+            raise ParseError(min(bad))
+        missing = [(c, e) for c in self.faces for e in cycle_edges(c) if e not in self.edges]
+        missing += [(e, (v,)) for e in self.edges for v in e if v not in self.vertices]
+        if missing:
+            cell, face = min(missing)
+            what = "face {} lacks its edge {}" if len(cell) > 2 else "edge {} lacks its vertex {}"
+            raise ParseError(what.format(" ".join(cell), " ".join(face)))
 
     @cached_property
     def incidence(self) -> Incidence:
@@ -283,7 +304,7 @@ def _cw(
     for a, b in edges:
         vertices.add(a)
         vertices.add(b)
-    return CWComplex2(frozenset(vertices), frozenset(edges), tuple(sorted(canon_faces)))
+    return _unchecked(CWComplex2, frozenset(vertices), frozenset(edges), tuple(sorted(canon_faces)))
 
 
 Complex = SimplicialComplex | CWComplex2
@@ -476,7 +497,8 @@ def relabel(cx: Complex, mapping: Mapping[str, str]) -> Complex:
 
     if isinstance(cx, SimplicialComplex):
         return _scx(frozenset(tuple(sorted(m(v) for v in s)) for s in cx.simplices))
-    return CWComplex2(
+    return _unchecked(
+        CWComplex2,
         frozenset(m(v) for v in cx.vertices),
         frozenset(norm_edge(m(a), m(b)) for a, b in cx.edges),
         tuple(sorted(canonical_cycle(tuple(m(v) for v in cyc)) for cyc in cx.faces)),
@@ -499,7 +521,7 @@ def split_cells(cx: Complex, part: Callable[[tuple[str, ...]], int], n: int) -> 
     if isinstance(cx, SimplicialComplex):
         return [_scx(frozenset(cells)) for cells in deal(cx.simplices)]
     parts = zip(deal((v,) for v in cx.vertices), deal(cx.edges), deal(cx.faces))
-    return [CWComplex2(frozenset(v for (v,) in vs), frozenset(es), tuple(fs)) for vs, es, fs in parts]
+    return [_unchecked(CWComplex2, frozenset(v for (v,) in vs), frozenset(es), tuple(fs)) for vs, es, fs in parts]
 
 
 def induced_subcomplex(cx: Complex, vertices: Iterable[str]) -> Complex:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .complexes import Complex, Edge, SimplicialComplex, Simplex, cycle_edges
+from .complexes import Complex, Edge, SimplicialComplex, Simplex
 from .connectivity import two_colour
 
 
@@ -38,49 +38,56 @@ OrientationResult = OrientationWitness | NonOrientable
 
 def induced_edge_orientations(cell: tuple[str, ...]) -> tuple[tuple[str, str], ...]:
     """Directed boundary edges of an ordered 2-cell (cyclic pairs)."""
-    k = len(cell)
-    return tuple((cell[i], cell[(i + 1) % k]) for i in range(k))
+    return tuple(zip(cell, cell[1:] + cell[:1]))
 
 
-def _runs(cell: tuple[str, ...], e: Edge) -> bool:
-    # whether the cycle traverses e from e[0] to e[1]
-    return cell[(cell.index(e[0]) + 1) % len(cell)] == e[1]
+def _edge_signs(cell: tuple[str, ...]) -> dict[Edge, int]:
+    # +1 on each edge the cycle runs along from its smaller end, -1 on the others
+    signs = {}
+    for a, b in induced_edge_orientations(cell):
+        if a < b:
+            signs[a, b] = 1
+        else:
+            signs[b, a] = -1
+    return signs
 
 
-def _smallest_first(cell: tuple[str, ...]) -> tuple[str, ...]:
-    # canonical representative of the oriented cycle: rotate only
-    i = cell.index(min(cell))
-    return cell[i:] + cell[:i]
+def _orient(cells, cofaces, signs, oriented) -> OrientationResult:
+    """Propagate an orientation across the facets shared by cells.
+
+    signs(cell) gives the sign {facet: +1 or -1} the stored cell induces
+    on each of its facets, and cofaces[facet] the indices of the cells
+    on it. A neighbour inducing the same sign on a shared facet must
+    flip. Facets are read in sorted order and their cofaces in index
+    order; oriented(cell, flipped) is the tuple a witness reports.
+    """
+    induced = [signs(cell) for cell in cells]
+
+    def arcs(i: int):
+        own = induced[i]
+        for facet in sorted(own):
+            for j in cofaces[facet]:
+                if j != i:
+                    yield facet, j, induced[j][facet] == own[facet]
+
+    flipped, conflict = two_colour(len(cells), arcs)
+    if conflict is not None:
+        i, j, facet = conflict
+        return NonOrientable(facet, (oriented(cells[i], flipped[i]), oriented(cells[j], flipped[j])))
+    return OrientationWitness(tuple(map(oriented, cells, flipped)))
 
 
 def orient2(cx: Complex) -> OrientationResult:
     """Orient all 2-cells consistently, or report a conflict.
 
     Assumes the complex is a connected surface (every edge lies in at
-    most two 2-cells).
+    most two 2-cells). A flipped cycle keeps its first vertex.
     """
-    cells = cx.cells2()
-    incidence = cx.incidence.edge_cells
+    return _orient(cx.cells2(), cx.incidence.edge_cells, _edge_signs, _oriented_cycle)
 
-    def arcs(i: int):
-        # a neighbor running along the shared edge the same way must flip
-        cell = cells[i]
-        for e in sorted(cycle_edges(cell)):
-            runs = _runs(cell, e)
-            for j in incidence[e]:
-                if j != i:
-                    yield e, j, _runs(cells[j], e) == runs
 
-    flipped, conflict = two_colour(len(cells), arcs)
-
-    def chosen(i: int) -> tuple[str, ...]:
-        cell = cells[i]
-        return _smallest_first((cell[0],) + tuple(reversed(cell[1:])) if flipped[i] else cell)
-
-    if conflict is not None:
-        i, j, e = conflict
-        return NonOrientable(e, (chosen(i), chosen(j)))
-    return OrientationWitness(tuple(chosen(i) for i in range(len(cells))))
+def _oriented_cycle(cell: tuple[str, ...], flipped: bool) -> tuple[str, ...]:
+    return (cell[0],) + cell[:0:-1] if flipped else cell
 
 
 # ---------------------------------------------------------------------
@@ -114,23 +121,7 @@ def orient3(cx: SimplicialComplex) -> OrientationResult:
     Assumes a connected 3-complex whose triangles lie in at most two
     tetrahedra.
     """
-    tets = cx.tetrahedra()
-    incidence = cx.incidence.triangle_tets
-    parities = [induced_triangle_parities(t) for t in tets]
-
-    def arcs(i: int):
-        # a neighbor inducing the same parity on the shared triangle must flip
-        induced = parities[i]
-        for tri in sorted(induced):
-            for j in incidence[tri]:
-                if j != i:
-                    yield tri, j, parities[j][tri] == induced[tri]
-
-    flipped, conflict = two_colour(len(tets), arcs)
-    if conflict is not None:
-        i, j, tri = conflict
-        return NonOrientable(tri, (_oriented_tetra(tets[i], flipped[i]), _oriented_tetra(tets[j], flipped[j])))
-    return OrientationWitness(tuple(_oriented_tetra(t, f) for t, f in zip(tets, flipped)))
+    return _orient(cx.tetrahedra(), cx.incidence.triangle_tets, induced_triangle_parities, _oriented_tetra)
 
 
 def _oriented_tetra(t: Simplex, flipped: bool) -> tuple[str, ...]:

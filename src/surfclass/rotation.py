@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .classify import SurfaceType, genus
@@ -199,14 +199,7 @@ def parse_rotation(text: str) -> RotationSystem:
     if _wholly_braced(rot_text):
         rot_text = rot_text[1:-1].strip()
     rotations = _parse_rotation_groups(rot_text)
-    labels: list[str] = []
-    seen: set[str] = set()
-    for vertex in rotations:
-        for label in vertex:
-            if label not in seen:
-                seen.add(label)
-                labels.append(label)
-    labels.sort(key=_label_key)
+    labels = sorted(dict.fromkeys(chain.from_iterable(rotations)), key=_label_key)
     signs = _parse_signs(parts[1], labels) if len(parts) == 2 else None
     return rotation_system(rotations, signs)
 

@@ -255,14 +255,16 @@ def word_substitute(w: Word, letter_map: Mapping[str, str]) -> Word:
     return tuple(Letter(letter_map[letter.edge], letter.exp) for letter in w)
 
 
-def _match_words(left: Sequence[Word], right: Sequence[Word], ok) -> bool:
-    # backtracking perfect matching between two word multisets
+def _match(left: Sequence, right: Sequence, ok) -> bool:
+    # Pair each left item with the first unused right item ok accepts. No
+    # backtracking is needed: every caller's ok relates whole classes to
+    # whole classes, so which member of a class is taken never matters.
+    # It still recurses once per left item.
     if not left:
         return True
-    first, rest = left[0], left[1:]
     for j, cand in enumerate(right):
-        if ok(first, cand) and _match_words(rest, right[:j] + right[j + 1 :], ok):
-            return True
+        if ok(left[0], cand):
+            return _match(left[1:], right[:j] + right[j + 1 :], ok)
     return False
 
 
@@ -276,15 +278,12 @@ def list_equivalent(l1: WordList, l2: WordList, letter_map: Mapping[str, str]) -
         return False
     subbed = tuple(word_substitute(w, letter_map) for w in l1.words)
 
-    def eq(a: Word, b: Word) -> bool:
-        return word_equivalent(a, b)
-
     def rev(a: Word, b: Word) -> bool:
         return word_equivalent(word_reverse(a), b)
 
     if l1.n >= 0:
-        return _match_words(subbed, l2.words, eq) or _match_words(subbed, l2.words, rev)
-    return _match_words(subbed, l2.words, lambda a, b: eq(a, b) or rev(a, b))
+        return _match(subbed, l2.words, word_equivalent) or _match(subbed, l2.words, rev)
+    return _match(subbed, l2.words, lambda a, b: word_equivalent(a, b) or rev(a, b))
 
 
 # =====================================================================
@@ -293,15 +292,7 @@ def list_equivalent(l1: WordList, l2: WordList, letter_map: Mapping[str, str]) -
 
 
 def _match_lists(left: Sequence[WordList], right: Sequence[WordList], letter_map) -> bool:
-    if not left:
-        return True
-    first, rest = left[0], left[1:]
-    for j, cand in enumerate(right):
-        if list_equivalent(first, cand, letter_map) and _match_lists(
-            rest, right[:j] + right[j + 1 :], letter_map
-        ):
-            return True
-    return False
+    return _match(left, right, lambda a, b: list_equivalent(a, b, letter_map))
 
 
 def slw_equivalent(

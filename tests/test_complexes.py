@@ -266,3 +266,95 @@ def test_the_package_builders_make_face_closed_complexes(tops):
     made += component_subcomplexes(cx) + [vertex_link3(cx, v) for v in sorted(cx.vertex_set())]
     for out in made:
         assert SimplicialComplex(out.simplices) == out
+
+
+# ---------------------------------------------------------------------
+# a CW 2-complex built directly is checked the same way
+# ---------------------------------------------------------------------
+
+SQUARE = cw_complex([("0", "1", "2", "3")])
+NO_CELLS = frozenset()
+
+NOT_A_CW_COMPLEX = {
+    "bare_face": ((NO_CELLS, NO_CELLS, (("0", "1", "2", "3"),)), "face 0 1 2 3 lacks its edge 0 1"),
+    "two_bare_faces": ((NO_CELLS, NO_CELLS, (("0", "3", "4"), ("0", "1", "2"))), "face 0 1 2 lacks its edge 0 1"),
+    "closing_edge_taken_out": (
+        (SQUARE.vertices, SQUARE.edges - {("0", "3")}, SQUARE.faces), "face 0 1 2 3 lacks its edge 0 3",
+    ),
+    "edge_without_an_end": ((frozenset({"0"}), frozenset({("0", "1")}), ()), "edge 0 1 lacks its vertex 1"),
+    "vertices_taken_out": ((NO_CELLS, SQUARE.edges, SQUARE.faces), "edge 0 1 lacks its vertex 0"),
+    "int_vertex": ((frozenset({0, "1"}), NO_CELLS, ()), "vertex 0 is not a str label"),
+    "unsorted_edge": ((frozenset("01"), frozenset({("1", "0")}), ()), "edge ('1', '0') is not"),
+    "loop_edge": ((frozenset("0"), frozenset({("0", "0")}), ()), "edge ('0', '0') is not"),
+    "int_in_edge": ((frozenset("0"), frozenset({("0", 1)}), ()), "edge ('0', 1) is not"),
+    "three_ends": ((frozenset("012"), frozenset({("0", "1", "2")}), ()), "edge ('0', '1', '2') is not"),
+    "two_vertex_face": ((frozenset("01"), frozenset({("0", "1")}), (("0", "1"),)), "face ('0', '1') is not"),
+    "repeated_vertex": ((SQUARE.vertices, SQUARE.edges, (("0", "1", "2", "1"),)), "face ('0', '1', '2', '1') is not"),
+    "list_face": ((SQUARE.vertices, SQUARE.edges, (["0", "1", "2", "3"],)), "face ['0', '1', '2', '3'] is not"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_A_CW_COMPLEX))
+def test_direct_cw_construction_rejects_what_is_not_a_complex(name):
+    cells, message = NOT_A_CW_COMPLEX[name]
+    with pytest.raises(ParseError) as ei:
+        CWComplex2(*cells)
+    assert type(ei.value) is ParseError
+    if message.startswith("edge (") and message.endswith(" is not"):
+        message += " a sorted pair of distinct str labels"
+    elif message.endswith(" is not"):
+        message += " a tuple of 3 or more distinct str labels"
+    assert str(ei.value) == message
+
+
+def test_cw_rejection_names_the_first_bad_cell_in_any_insertion_order():
+    faces = [("0", "1", "2"), ("0", "3", "4"), ("2", "3", "4")]
+    edges = [("0", "1"), ("1", "2"), ("3", "9")]
+    messages = set()
+    for order in itertools.permutations(faces):
+        for edge_order in itertools.permutations(edges):
+            with pytest.raises(ParseError) as ei:
+                CWComplex2(frozenset("01234"), frozenset(edge_order), order)
+            messages.add(str(ei.value))
+    assert messages == {"face 0 1 2 lacks its edge 0 2"}
+
+
+def test_direct_cw_construction_accepts_closed_complexes():
+    # faces need only be closed, not in canonical_cycle() form or sorted
+    faces = (("b1", "b0", "b3", "b2"), ("a2", "a3", "a0", "a1"))
+    base = cw_complex(faces, extra_edges=[("c0", "c1")], extra_vertices=["d"])
+    for cx in (SQUARE, base, cw_complex([], extra_vertices=["0"]), parse_cw2("F: 0 1 2\nF: 0 2 3\nE: 4 5\n")):
+        assert CWComplex2(cx.vertices, cx.edges, cx.faces) == cx
+    assert CWComplex2(base.vertices, base.edges, faces).faces == faces
+
+
+cw_faces = st.lists(
+    st.lists(st.sampled_from(["0", "1", "2", "3", "4", "5"]), min_size=3, max_size=5, unique=True),
+    min_size=1, max_size=4,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cw_faces, st.data())
+def test_cw_construction_succeeds_exactly_on_closed_complexes(faces, data):
+    cx = cw_complex(faces, extra_edges=[("4", "6")])
+    edges = cx.edges - data.draw(st.sets(st.sampled_from(sorted(cx.edges)), max_size=2))
+    vertices = cx.vertices - data.draw(st.sets(st.sampled_from(sorted(cx.vertices)), max_size=2))
+    closure = cw_complex(cx.faces, edges, vertices)
+    closed = (closure.vertices, closure.edges) == (vertices, edges)
+    try:
+        CWComplex2(vertices, edges, cx.faces)
+        assert closed
+    except ParseError:
+        assert not closed
+
+
+@settings(max_examples=100, deadline=None)
+@given(cw_faces)
+def test_the_package_builders_make_closed_cw_complexes(faces):
+    # each builder skips the check, so check what it makes
+    cx = cw_complex(faces, extra_edges=[("6", "7")], extra_vertices=["8"])
+    made = [parse_complex(to_text(cx)), relabel(cx, {"0": "9", "9": "0"}), induced_subcomplex(cx, {"0", "1", "2", "3"})]
+    made += component_subcomplexes(cx)
+    for out in made:
+        assert CWComplex2(out.vertices, out.edges, out.faces) == out

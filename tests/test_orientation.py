@@ -4,6 +4,7 @@ import itertools
 from collections import Counter, defaultdict
 
 from surfclass import (
+    CWComplex2,
     NonOrientable,
     OrientationWitness,
     close,
@@ -89,6 +90,14 @@ def test_orient2_matches_brute_force_on_small_surfaces():
     for cx in cases:
         got = isinstance(orient2(cx), OrientationWitness)
         assert got == _brute_force_orientable(cx)
+
+
+def test_orient2_keeps_the_first_vertex_of_each_stored_cycle():
+    # cycles built directly need not start at their smallest vertex; a
+    # witness reports each as stored, or reversed about its first vertex
+    base = cw_complex([("0", "1", "2", "3"), ("2", "3", "4", "5")])
+    cx = CWComplex2(base.vertices, base.edges, (("1", "2", "3", "0"), ("2", "3", "4", "5")))
+    assert orient2(cx) == OrientationWitness((("1", "2", "3", "0"), ("2", "5", "4", "3")))
 
 
 def test_triangle_parities_of_even_and_odd_orderings():

@@ -3,7 +3,7 @@
 Every CLI input ends in a documented exit code: 0 (a verdict), 2 (usage,
 unknown name, bound exceeded), 3 (parse error) and 4 (not a surface /
 manifold / nonempty complex). Every parser called directly, and a
-simplicial complex built directly, returns a value or raises a
+simplicial or CW complex built directly, returns a value or raises a
 TopologyError. The inputs are drawn by structure, since random
 characters rarely get past the first parse check: deeply nested braces,
 words and faces 10^4 long, duplicate labels, JSON of the wrong shape or
@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from surfclass import (
+    CWComplex2,
     Disconnected,
     InvalidSurface,
     Letter,
@@ -271,6 +272,21 @@ simplex_sets = st.frozensets(
 @given(simplex_sets)
 def test_simplicial_complex_constructor_is_total(simplices):
     total(SimplicialComplex, simplices)
+
+
+cell_labels = st.one_of(st.sampled_from(["0", "1", "2", "3", "a"]), st.integers(0, 2))
+cw_cell_sets = st.tuples(
+    st.frozensets(cell_labels, max_size=5),
+    st.frozensets(st.lists(cell_labels, max_size=3).map(tuple), max_size=6),
+    st.lists(st.one_of(st.lists(cell_labels, max_size=5).map(tuple), st.lists(cell_labels, max_size=4)),
+             max_size=4).map(tuple),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cw_cell_sets)
+def test_cw_complex_constructor_is_total(cells):
+    total(CWComplex2, *cells)
 
 
 # ---------------------------------------------------------------------
