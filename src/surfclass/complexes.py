@@ -144,14 +144,17 @@ class SimplicialComplex:
 
     def __post_init__(self) -> None:
         # the package's own builders make closed sets and skip this check (_scx)
-        bad = [s for s in self.simplices if type(s) is not tuple or not 0 < len(s) <= 4
+        cells = _cell_list(self.simplices, "simplices")
+        bad = [s for s in cells if type(s) is not tuple or not 0 < len(s) <= 4
                or any(type(v) is not str for v in s) or any(a >= b for a, b in zip(s, s[1:]))]
         if bad:
             raise ParseError(f"simplex {min(bad, key=repr)!r} is not a sorted tuple of 1 to 4 distinct labels")
-        missing = [(s, f) for s in self.simplices for f in combinations(s, len(s) - 1)
-                   if f and f not in self.simplices]
+        simplices = frozenset(cells)
+        missing = [(s, f) for s in simplices for f in combinations(s, len(s) - 1)
+                   if f and f not in simplices]
         if missing:
             raise ParseError("simplex {} lacks its face {}".format(*map(" ".join, min(missing))))
+        object.__setattr__(self, "simplices", simplices)
 
     @cached_property
     def incidence(self) -> Incidence:
@@ -200,6 +203,14 @@ def _closure(tops: Iterable[Simplex]) -> SimplicialComplex:
     return _scx(frozenset(out))
 
 
+def _cell_list(cells: object, what: str) -> list:
+    # the cells of a directly built complex, from any iterable container
+    try:
+        return list(cells)  # type: ignore[call-overload]
+    except TypeError:
+        raise ParseError(f"{what} must be an iterable of cells, got {type(cells).__name__}") from None
+
+
 def _unchecked(cls: type, *cells: object):
     # a complex the package has built closed, made without its constructor's check
     cx = object.__new__(cls)
@@ -232,19 +243,25 @@ class CWComplex2:
 
     def __post_init__(self) -> None:
         # the package's own builders make closed complexes and skip this check (_unchecked)
-        bad = [f"vertex {v!r} is not a str label" for v in self.vertices if type(v) is not str]
-        bad += [f"edge {e!r} is not a sorted pair of distinct str labels" for e in self.edges
+        if not isinstance(self.faces, (list, tuple)):  # face order fixes the witness indices
+            raise ParseError(f"faces must be a list or tuple, got {type(self.faces).__name__}")
+        verts, edge_list = _cell_list(self.vertices, "vertices"), _cell_list(self.edges, "edges")
+        bad = [f"vertex {v!r} is not a str label" for v in verts if type(v) is not str]
+        bad += [f"edge {e!r} is not a sorted pair of distinct str labels" for e in edge_list
                 if type(e) is not tuple or len(e) != 2 or any(type(v) is not str for v in e) or e[0] >= e[1]]
         bad += [f"face {c!r} is not a tuple of 3 or more distinct str labels" for c in self.faces
                 if type(c) is not tuple or any(type(v) is not str for v in c) or len(c) < 3 or len(set(c)) < len(c)]
         if bad:
             raise ParseError(min(bad))
-        missing = [(c, e) for c in self.faces for e in cycle_edges(c) if e not in self.edges]
-        missing += [(e, (v,)) for e in self.edges for v in e if v not in self.vertices]
+        vertices, edges, faces = frozenset(verts), frozenset(edge_list), tuple(self.faces)
+        missing = [(c, e) for c in faces for e in cycle_edges(c) if e not in edges]
+        missing += [(e, (v,)) for e in edges for v in e if v not in vertices]
         if missing:
             cell, face = min(missing)
             what = "face {} lacks its edge {}" if len(cell) > 2 else "edge {} lacks its vertex {}"
             raise ParseError(what.format(" ".join(cell), " ".join(face)))
+        for name, value in (("vertices", vertices), ("edges", edges), ("faces", faces)):
+            object.__setattr__(self, name, value)
 
     @cached_property
     def incidence(self) -> Incidence:

@@ -2,7 +2,8 @@
 
 A 3-complex is a manifold when every triangle lies in one or two
 tetrahedra and every vertex link is a sphere (interior vertex) or a
-disk (boundary vertex). The boundary triangles themselves assemble
+disk (boundary vertex); is_3manifold decides each link from the
+vertex's star, without building the link. The boundary triangles assemble
 into closed surfaces, which are classified with the 2-dimensional
 pipeline.
 """
@@ -11,10 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classify import SurfaceType, classify_surface, is_disk, is_sphere
-from .complexes import SimplicialComplex, Simplex, _scx, close, euler_characteristic
+from .classify import SurfaceType, classify_surface
+from .complexes import Edge, SimplicialComplex, Simplex, _scx, close, euler_characteristic
+from .connectivity import classes
 from .errors import InvariantError, NotManifold
-from .surface import BOUNDARY, _facet_status
+from .surface import BOUNDARY, _ends, _facet_status, _walk
 
 
 @dataclass(frozen=True)
@@ -54,6 +56,36 @@ def vertex_link3(cx: SimplicialComplex, v: str) -> SimplicialComplex:
     return _scx(frozenset(tuple(w for w in s if w != v) for s in star))
 
 
+def _link_ok(star: list[tuple[str, ...]], v: str, chi: int) -> bool:
+    """Whether the link of v has Euler characteristic chi, each link vertex
+    b after v has its chords chained into one path or cycle, and the link
+    is connected.
+
+    The chords of b are the edges opposite {v,b} in its tetrahedra, the
+    link chords of v in the link of b too, so an edge is walked at its
+    smaller end only.
+    """
+    # v's star lists its edges, then its triangles, then its tetrahedra
+    sizes = list(map(len, star))
+    e, t = sizes.count(2), sizes.count(3)
+    if len(star) - 2 * t != chi:  # edges - triangles + tetrahedra
+        return False
+    chords: dict[str, list[Edge]] = {}
+    for tet in star[e + t :]:
+        i = tet.index(v)
+        rest = tet[:i] + tet[i + 1 :]
+        for k in range(i, 3):  # the vertices after v
+            chords.setdefault(rest[k], []).append(rest[:k] + rest[k + 1 :])
+    for cs in chords.values():
+        if len(cs) > 1:
+            used = [False] * len(cs)
+            if _walk(cs, _ends(cs), used, 0)[2] is not None or not all(used):
+                return False
+    nodes = [b if a == v else a for a, b in star[:e]]
+    pairs = [(b, c) if a == v else (a, c) if b == v else (a, b) for a, b, c in star[e : e + t]]
+    return len(classes(nodes, pairs)) == 1
+
+
 def is_3manifold(cx: SimplicialComplex) -> Manifold3Check:
     """Full manifold verdict with classified boundary surfaces."""
     tets = cx.tetrahedra()
@@ -70,15 +102,13 @@ def is_3manifold(cx: SimplicialComplex) -> Manifold3Check:
         return Manifold3Check(False, None, (), exc)
     boundary_tris = [st.triangle for st in statuses if st.status == BOUNDARY]
     boundary_verts = set(v for tri in boundary_tris for v in tri)
+    # every triangle lies in 1 or 2 tetrahedra, so each link passes its edge
+    # check, and it is closed exactly at an interior vertex; an edge {u,v}
+    # with u before v passed when u did
+    star = cx.incidence.star
     for v in sorted(cx.vertex_set()):
-        link = vertex_link3(cx, v)
-        if v in boundary_verts:
-            ok = is_disk(link)
-            need = "disk"
-        else:
-            ok = is_sphere(link)
-            need = "sphere"
-        if not ok:
+        need = "disk" if v in boundary_verts else "sphere"
+        if not _link_ok(star[v], v, 1 if v in boundary_verts else 2):
             return Manifold3Check(
                 False, None, (),
                 NotManifold(f"link of vertex {v} is not a {need}", vertex=v),

@@ -358,3 +358,52 @@ def test_the_package_builders_make_closed_cw_complexes(faces):
     made += component_subcomplexes(cx)
     for out in made:
         assert CWComplex2(out.vertices, out.edges, out.faces) == out
+
+
+# ---------------------------------------------------------------------
+# a complex built directly stores the containers its fields promise
+# ---------------------------------------------------------------------
+
+
+def test_direct_construction_stores_frozensets_from_any_iterable():
+    tet = close([("0", "1", "2", "3")])
+    for simplices in ([("0",)], (("0",),), {("0",)}, (s for s in [("0",)])):
+        cx = SimplicialComplex(simplices)
+        assert type(cx.simplices) is frozenset
+        assert cx == close([("0",)]) and hash(cx) == hash(close([("0",)]))
+    assert SimplicialComplex(sorted(tet.simplices)) == tet
+    assert SimplicialComplex(()) == SimplicialComplex(frozenset())
+
+
+def test_direct_cw_construction_stores_frozensets_and_a_face_tuple():
+    tri = cw_complex([("0", "1", "2")])
+    for faces in ([("0", "1", "2")], (("0", "1", "2"),)):
+        cx = CWComplex2(set(tri.vertices), list(tri.edges), faces)
+        assert (type(cx.vertices), type(cx.edges), type(cx.faces)) == (frozenset, frozenset, tuple)
+        assert cx == tri and hash(cx) == hash(tri)
+
+
+NOT_A_CONTAINER = {
+    "int_simplices": (lambda: SimplicialComplex(5), "simplices must be an iterable of cells, got int"),
+    "none_simplices": (lambda: SimplicialComplex(None), "simplices must be an iterable of cells, got NoneType"),
+    "int_vertices": (lambda: CWComplex2(5, frozenset(), ()), "vertices must be an iterable of cells, got int"),
+    "int_edges": (lambda: CWComplex2(frozenset(), 5, ()), "edges must be an iterable of cells, got int"),
+    "none_faces": (lambda: CWComplex2(frozenset(), frozenset(), None), "faces must be a list or tuple, got NoneType"),
+    # face order fixes the indices every witness names, so a set of faces has none
+    "set_of_faces": (
+        lambda: CWComplex2(frozenset("012"), frozenset({("0", "1"), ("0", "2"), ("1", "2")}), {("0", "1", "2")}),
+        "faces must be a list or tuple, got set",
+    ),
+    "frozenset_of_faces": (
+        lambda: CWComplex2(frozenset(), frozenset(), frozenset()), "faces must be a list or tuple, got frozenset",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_A_CONTAINER))
+def test_direct_construction_rejects_a_container_it_cannot_store(name):
+    build, message = NOT_A_CONTAINER[name]
+    with pytest.raises(ParseError) as ei:
+        build()
+    assert type(ei.value) is ParseError
+    assert str(ei.value) == message

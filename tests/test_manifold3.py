@@ -3,21 +3,26 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from surfclass import (
+    Manifold3Check,
     NotManifold,
     ParseError,
     SimplicialComplex,
     SurfaceType,
+    classify_surface,
     close,
     components,
     euler_characteristic,
     face_check3,
     is_3manifold,
+    is_disk,
     is_sphere,
     vertex_link3,
 )
 from surfclass import complexes, manifold3
+from test_incidence import SOLIDS, freudenthal
 
 SINGLE_TETRA = close([("0", "1", "2", "3")])
 D4_BOUNDARY = close([tuple(sorted(t)) for t in itertools.combinations("01234", 4)])
@@ -163,3 +168,128 @@ def test_cone_over_the_double_cone_over_a_2000_cycle_is_a_ball():
     assert link == sphere
     for pole in "NS":
         assert sum(pole in e for e in link.edge_set()) == n
+
+
+# =====================================================================
+# The per-vertex route as a reference: build every vertex link as a
+# complex and test it with is_sphere / is_disk, in sorted vertex order
+# =====================================================================
+
+
+def ref_is_3manifold(cx):
+    tets = cx.tetrahedra()
+    if not tets:
+        return Manifold3Check(False, None, (), NotManifold("complex has no 3-cells"))
+    if cx.simplices != close(tets).simplices:
+        return Manifold3Check(
+            False, None, (), NotManifold("complex has cells outside the closure of its tetrahedra")
+        )
+    try:
+        statuses = face_check3(cx)
+    except NotManifold as exc:
+        return Manifold3Check(False, None, (), exc)
+    boundary_tris = [s.triangle for s in statuses if s.status == "boundary"]
+    boundary_verts = {v for tri in boundary_tris for v in tri}
+    for v in sorted(cx.vertex_set()):
+        link = vertex_link3(cx, v)
+        need = "disk" if v in boundary_verts else "sphere"
+        if not (is_disk(link) if v in boundary_verts else is_sphere(link)):
+            return Manifold3Check(False, None, (), NotManifold(f"link of vertex {v} is not a {need}", vertex=v))
+    boundary = tuple(classify_surface(close(boundary_tris))) if boundary_tris else ()
+    return Manifold3Check(True, not boundary_tris, boundary, None)
+
+
+def verdict(chk):
+    """A Manifold3Check in a form that == compares fully: the defect by type, message and fields."""
+    defect = chk.defect
+    fields = None if defect is None else (type(defect).__name__, str(defect), vars(defect))
+    return (chk.manifold, chk.closed, chk.boundary, fields)
+
+
+def cone(apex, triangles):
+    return close((apex,) + tuple(tri) for tri in triangles)
+
+
+# the 7-vertex torus: a connected closed surface with chi = 0
+TORUS7 = [tuple(str((i + d) % 7) for d in ds) for i in range(7) for ds in ((0, 1, 3), (0, 2, 3))]
+TETRA_BOUNDARY = [tuple(t) for t in itertools.combinations(("s0", "s1", "s2", "s3"), 3)]
+TWO_SPHERES = [(p, f"{side}{i}", f"{side}{(i + 1) % 4}") for side in "uw" for p in "ns" for i in range(4)]
+DOUBLE_CONE = [(p, f"a{i}", f"a{(i + 1) % 2000}") for p in "NS" for i in range(2000)]
+
+# every complex the tests of this file build, the apex fixtures below, and
+# Freudenthal balls, solid tori and 3-tori
+BUILT = {
+    "single_tetra": SINGLE_TETRA,
+    "boundary_of_4_simplex": D4_BOUNDARY,
+    "two_tetra_stack": close([("0", "1", "2", "3"), ("0", "1", "2", "4")]),
+    "triple_shared_triangle": close([("0", "1", "2", "3"), ("0", "1", "2", "4"), ("0", "1", "2", "5")]),
+    "no_3_cells": close([("0", "1", "2")]),
+    "stray_edge": close([("0", "1", "2", "3"), ("7", "8")]),
+    "pinched_vertex": close([("0", "1", "2", "3"), ("0", "4", "5", "6")]),
+    "edge_pinch": close([("0", "1", "2", "3"), ("0", "1", "4", "5")]),
+    "cone_over_two_spheres_glued_at_two_points": cone("c", TWO_SPHERES),
+    "cone_over_a_double_cone": cone("c", DOUBLE_CONE),
+    "cone_over_torus7": cone("c", TORUS7),
+    "cone_over_sphere_and_torus7": cone("c", TETRA_BOUNDARY + TORUS7),
+}
+for _k in (2, 3, 4):
+    BUILT[f"ball{_k}"] = freudenthal(_k)
+    BUILT[f"solid_torus{_k}"] = freudenthal(_k, (True, False, False))
+    BUILT[f"three_torus{_k}"] = freudenthal(_k, (True, True, True))
+
+
+@pytest.mark.parametrize("name", sorted({**SOLIDS, **BUILT}))
+def test_is_3manifold_matches_the_per_vertex_route(name):
+    cx = {**SOLIDS, **BUILT}[name]
+    assert verdict(is_3manifold(cx)) == verdict(ref_is_3manifold(cx))
+
+
+# pure complexes: tetrahedra only, on few labels, so that links overlap and branch
+PURE = st.lists(
+    st.lists(st.sampled_from("0123456"), min_size=4, max_size=4, unique=True), min_size=1, max_size=8
+).map(close)
+
+
+@settings(max_examples=400, deadline=None)
+@given(PURE)
+def test_drawn_pure_complexes_match_the_per_vertex_route(cx):
+    assert verdict(is_3manifold(cx)) == verdict(ref_is_3manifold(cx))
+
+
+# =====================================================================
+# Each link condition pinned by an apex that fails only that condition
+# =====================================================================
+
+
+def test_cone_over_a_torus_fails_on_the_euler_characteristic():
+    # the apex link is a connected closed surface whose every edge link is a
+    # cycle; only its chi = 0 tells it from a sphere
+    link = vertex_link3(BUILT["cone_over_torus7"], "c")
+    assert link == close(TORUS7)
+    assert [t.name() for t in classify_surface(link)] == ["T2"]
+    chk = is_3manifold(BUILT["cone_over_torus7"])
+    assert not chk.manifold
+    assert str(chk.defect) == "link of vertex c is not a sphere"
+    assert chk.defect.vertex == "c"
+
+
+def test_cone_over_a_sphere_and_a_torus_fails_on_connectivity():
+    # the apex link S2 + T2 has chi = 2 and every edge link a cycle, but two components
+    cx = BUILT["cone_over_sphere_and_torus7"]
+    link = vertex_link3(cx, "c")
+    assert euler_characteristic(link) == 2
+    assert [t.name() for t in classify_surface(link)] == ["T2", "S2"]
+    chk = is_3manifold(cx)
+    assert not chk.manifold
+    assert str(chk.defect) == "link of vertex c is not a sphere"
+    assert chk.defect.vertex == "c"
+
+
+def test_is_3manifold_builds_no_vertex_link(monkeypatch):
+    def no_link(cx, v):
+        raise AssertionError("vertex_link3 called")
+
+    monkeypatch.setattr(manifold3, "vertex_link3", no_link)
+    chk = is_3manifold(freudenthal(3))
+    assert chk.manifold and not chk.closed
+    assert chk.boundary == (SurfaceType(True, 0, 0, 2),)
