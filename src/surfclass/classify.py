@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from .complexes import Complex, euler_characteristic
 from .connectivity import classes, component_subcomplexes
-from .errors import InvalidSurface, NotSurface
+from .errors import Disconnected, InvalidSurface, NotSurface
 from .orientation import OrientationWitness, orient2
 from .surface import is_surface
 
@@ -51,14 +51,11 @@ def genus(euler: int, orientable: bool, boundary: int) -> int:
 
 
 def classify_component(cx: Complex) -> SurfaceType:
-    """Classify one connected surface component."""
-    chk = is_surface(cx)
-    if not chk.surface:
-        raise NotSurface("not a surface", defect=chk.defect)
-    orientable = isinstance(orient2(cx), OrientationWitness)
-    chi = euler_characteristic(cx)
-    b = chk.boundary_count or 0
-    return SurfaceType(orientable, genus(chi, orientable, b), b, chi)
+    """Classify a connected surface; raise Disconnected for any other count."""
+    types = classify_surface(cx)
+    if len(types) != 1:
+        raise Disconnected(f"expected one component, got {len(types)}")
+    return types[0]
 
 
 def classify_surface(cx: Complex) -> list[SurfaceType]:
@@ -68,14 +65,17 @@ def classify_surface(cx: Complex) -> list[SurfaceType]:
     """
     out = []
     for i, sub in enumerate(component_subcomplexes(cx)):
-        try:
-            out.append(classify_component(sub))
-        except NotSurface as exc:
+        chk = is_surface(sub)
+        if not chk.surface:
             raise NotSurface(
-                f"component {i} is not a surface: {exc.defect}",
+                f"component {i} is not a surface: {chk.defect}",
                 component=i,
-                defect=exc.defect,
-            ) from None
+                defect=chk.defect,
+            )
+        orientable = isinstance(orient2(sub), OrientationWitness)
+        chi = euler_characteristic(sub)
+        b = chk.boundary_count or 0
+        out.append(SurfaceType(orientable, genus(chi, orientable, b), b, chi))
     return out
 
 

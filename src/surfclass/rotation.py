@@ -10,6 +10,7 @@ all-+ case.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain
@@ -34,9 +35,6 @@ class RotationSystem:
 
     rotations: tuple[tuple[str, ...], ...]
     signs: tuple[tuple[str, int], ...]  # (edge label, +1/-1), label-sorted
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.signs)
 
     def sign_map(self) -> dict[str, int]:
         return dict(self.signs)
@@ -66,20 +64,22 @@ class RotationSystem:
         return first, vertex, mate, label, list(map(dict(self.signs).__getitem__, label))
 
 
+def _paired(labels: Iterable[str], what: str) -> Counter[str]:
+    """Count the labels; raise naming the least unpaired one, formatted by `what`."""
+    counts = Counter(labels)
+    for label, n in sorted(counts.items()):
+        if n != 2:
+            raise ParseError(f"{what.format(label)} appears {n} times (need 2)")
+    return counts
+
+
 def rotation_system(
     rotations: Iterable[Iterable[str]],
     signs: Mapping[str, int] | None = None,
 ) -> RotationSystem:
     """Validate dart multiplicities and complete the sign vector."""
     rots = tuple(tuple(str(d) for d in vertex) for vertex in rotations)
-    counts: dict[str, int] = {}
-    for vertex in rots:
-        for label in vertex:
-            counts[label] = counts.get(label, 0) + 1
-    for label, n in sorted(counts.items()):
-        if n != 2:
-            raise ParseError(f"edge {label} appears {n} times (need 2)")
-    labels = sorted(counts, key=_label_key)
+    labels = sorted(_paired(chain.from_iterable(rots), "edge {}"), key=_label_key)
     if signs is None:
         signs = {}
     else:
@@ -312,12 +312,7 @@ def parse_chord_code(text: str) -> ChordCode:
         labels = tuple(text)
     if not labels:
         raise ParseError("empty chord code")
-    counts: dict[str, int] = {}
-    for label in labels:
-        counts[label] = counts.get(label, 0) + 1
-    for label, n in sorted(counts.items()):
-        if n != 2:
-            raise ParseError(f"chord label {label!r} appears {n} times (need 2)")
+    _paired(labels, "chord label {!r}")
     return labels
 
 
@@ -344,15 +339,15 @@ def chord_canonical(code: ChordCode) -> ChordCode:
     """Least code over all rotations, reflections, and relabelings.
 
     Two chord diagrams are isomorphic iff their canonical codes agree.
+    It descends from the code relabelled by first occurrence through each
+    smaller image _smaller_image finds; an image of an image is an image
+    of the code, so the descent ends at the least one.
     """
-    if not code:
-        return ()
-    best = min(
-        _relabel_first_occurrence(seq[r:] + seq[:r])
-        for seq in (code, code[::-1])
-        for r in range(len(code))
-    )
-    return tuple(str(i) for i in best)
+    best = list(_relabel_first_occurrence(code))
+    while (found := _smaller_image(best)) is not None:
+        seq, r = found
+        best = list(_relabel_first_occurrence(seq[r : r + len(best)]))
+    return tuple(map(str, best))
 
 
 def chord_isomorphic(c1: ChordCode, c2: ChordCode) -> bool:
@@ -376,13 +371,10 @@ def permutation_to_code(pairs: Iterable[tuple[int, int]]) -> ChordCode:
     return tuple(str(i) for i in _relabel_first_occurrence(firsts))
 
 
-def code_to_permutation(code: ChordCode, start: int = 0) -> tuple[tuple[int, int], ...]:
-    """Position pairing read from the code rotated to begin at `start`."""
-    if not code:
-        return ()
-    rotated = code[start % len(code) :] + code[: start % len(code)]
+def code_to_permutation(code: ChordCode) -> tuple[tuple[int, int], ...]:
+    """Position pairing read from the code."""
     where: dict[str, list[int]] = {}
-    for pos, label in enumerate(rotated, start=1):
+    for pos, label in enumerate(code, start=1):
         where.setdefault(label, []).append(pos)
     pairs = []
     for label, positions in where.items():
@@ -392,17 +384,19 @@ def code_to_permutation(code: ChordCode, start: int = 0) -> tuple[tuple[int, int
     return tuple(sorted(pairs))
 
 
-def _least_in_orbit(code: list[int]) -> bool:
-    """Whether no rotation or reflection of a first-occurrence code reads smaller.
+def _smaller_image(code: list[int]) -> tuple[list[int], int] | None:
+    """Find the first rotation or reflection of a first-occurrence code that reads smaller.
 
-    Each image is relabelled by first occurrence as it is read and is
-    dropped at its first position that differs from the code.
+    Returns (seq, r) when that image is seq[r : r + len(code)], and None
+    when the code is the least in its orbit. Each image is relabelled by
+    first occurrence as it is read and is dropped at its first position
+    that differs from the code.
     """
     size = len(code)
     doubled = code + code
     for seq, starts in ((doubled, range(1, size)), (doubled[::-1], range(size))):
         for r in starts:
-            names = [0] * (size // 2 + 1)
+            names = [0] * (size + 1)  # any label sequence, not only pairings
             fresh = 1
             for i in range(size):
                 label = names[seq[r + i]]
@@ -411,9 +405,9 @@ def _least_in_orbit(code: list[int]) -> bool:
                     fresh += 1
                 if label != code[i]:
                     if label < code[i]:
-                        return False
+                        return seq, r
                     break
-    return True
+    return None
 
 
 def enumerate_chords(
@@ -433,23 +427,25 @@ def enumerate_chords(
     mate = [0] * size
     out: list[tuple[int, ...]] = []
 
-    def genus() -> int:
+    def faces() -> int:
         # the faces of the one-vertex map are the cycles of p -> mate(p + 1)
         seen = [False] * size
-        faces = 0
+        count = 0
         for p in range(size):
             if not seen[p]:
-                faces += 1
+                count += 1
                 while not seen[p]:
                     seen[p] = True
                     p = mate[(p + 1) % size]
-        return (n + 1 - faces) // 2  # floor: the empty diagram has one face
+        return count or 1  # the empty diagram is one face, the sphere
 
     def fill(label: int) -> None:
         try:
             i = code.index(0)
         except ValueError:
-            if _least_in_orbit(code) and (genus_filter is None or genus() == genus_filter):
+            if _smaller_image(code) is None and (
+                genus_filter is None or genus(1 - n + faces(), True, 0) == genus_filter
+            ):
                 out.append(tuple(code))
             return
         code[i] = label

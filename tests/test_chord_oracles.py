@@ -11,6 +11,9 @@ The oracles below share no code with surfclass.
   (n+1) eps_g(n) = 2(2n-1) eps_g(n-1) + (n-1)(2n-1)(2n-3) eps_{g-1}(n-2).
   Summing the dihedral orbit sizes of the enumerated classes of genus g
   must give it back.
+- The least image: a chord code's canonical form is the least
+  first-occurrence relabelling of its rotations and reflections, taken
+  here as a plain min over all of them.
 """
 
 from __future__ import annotations
@@ -20,8 +23,10 @@ from functools import cache
 from math import comb, gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from surfclass import enumerate_chords
+from surfclass import chord_canonical, enumerate_chords
 
 
 def _double_factorial(k: int) -> int:
@@ -97,6 +102,18 @@ def orbit_size(code) -> int:
     return len(images)
 
 
+def reference_canonical(code) -> tuple[str, ...]:
+    """The least first-occurrence code among all rotations and reflections."""
+    if not code:
+        return ()
+    best = min(
+        _first_occurrence(seq[r:] + seq[:r])
+        for seq in (tuple(code), tuple(code)[::-1])
+        for r in range(len(code))
+    )
+    return tuple(str(i) for i in best)
+
+
 def test_oracles_reproduce_known_values():
     assert [burnside_classes(n) for n in range(9)] == [1, 1, 2, 5, 17, 79, 554, 5283, 65346]
     assert [harer_zagier(g, 6) for g in range(4)] == [132, 2310, 6468, 1485]
@@ -115,3 +132,27 @@ def test_orbit_sizes_per_genus_match_harer_zagier(n):
     for g in range(-1, n // 2 + 2):
         classes = enumerate_chords(n, genus_filter=g)
         assert sum(orbit_size(c) for c in classes) == harer_zagier(g, n), g
+
+
+_PAIRINGS = st.integers(0, 6).flatmap(
+    lambda n: st.permutations([str(i // 2) for i in range(2 * n)])
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.lists(st.sampled_from("abcdefghijkl"), max_size=12), _PAIRINGS))
+@example([])
+@example(["a", "b", "c"])
+@example(list("abcdefghijkl"))
+def test_chord_canonical_matches_reference_on_drawn_sequences(seq):
+    # any label sequence is accepted, not only pairings
+    assert chord_canonical(tuple(seq)) == reference_canonical(seq)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_chord_canonical_of_every_image_of_every_class(n):
+    for code in enumerate_chords(n):
+        assert reference_canonical(code) == code
+        for seq in (code, code[::-1]):
+            for r in range(len(seq)):
+                assert chord_canonical(seq[r:] + seq[:r]) == code

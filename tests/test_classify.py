@@ -3,9 +3,13 @@ from __future__ import annotations
 import pytest
 
 from surfclass import (
+    Disconnected,
+    EmptyComplex,
     InvalidSurface,
     NotSurface,
     SurfaceType,
+    catalog_get,
+    classify_component,
     classify_surface,
     close,
     component_subcomplexes,
@@ -125,3 +129,35 @@ def test_5000_disjoint_triangles_are_5000_disks_in_component_order():
     types = classify_surface(cx)
     assert [t.name() for t in types] == ["F_{0,1}"] * 5000
     assert set(types) == {SurfaceType(True, 0, 1, 1)}
+
+
+TORUS = catalog_get("rcc/torus").payload
+SPHERE = catalog_get("rcc/sphere").payload
+
+
+def test_classify_component_of_one_surface():
+    assert classify_component(TORUS) == SurfaceType(True, 1, 0, 0)
+
+
+def test_classify_component_rejects_disjoint_surfaces():
+    # a torus and a sphere sum to chi = 2, which reads as one sphere
+    sphere = [tuple("s" + v for v in face) for face in SPHERE.faces]
+    with pytest.raises(Disconnected):
+        classify_component(cw_complex(TORUS.faces + tuple(sphere)))
+
+
+def test_classify_component_rejects_the_empty_complex():
+    with pytest.raises(EmptyComplex):
+        classify_component(cw_complex([]))
+
+
+def test_classify_component_names_component_0_when_not_a_surface():
+    with pytest.raises(NotSurface) as ei:
+        classify_component(close([("0", "1", "2"), ("0", "1", "3"), ("0", "1", "4")]))
+    assert ei.value.component == 0
+    assert str(ei.value).startswith("component 0 is not a surface: ")
+
+
+def test_genus_rejects_a_negative_boundary_count():
+    with pytest.raises(InvalidSurface, match="^negative boundary count$"):
+        genus(0, True, -1)

@@ -27,6 +27,7 @@ from surfclass import (
     to_text,
     vertex_link3,
 )
+from surfclass.complexes import _parse_json_obj, norm_edge
 
 
 def test_close_generates_all_faces():
@@ -407,3 +408,59 @@ def test_direct_construction_rejects_a_container_it_cannot_store(name):
         build()
     assert type(ei.value) is ParseError
     assert str(ei.value) == message
+
+
+# ---------------------------------------------------------------------
+# error branches
+# ---------------------------------------------------------------------
+
+
+def test_norm_edge_rejects_a_degenerate_edge():
+    with pytest.raises(ValueError, match=r"degenerate edge \('a', 'a'\)"):
+        norm_edge("a", "a")
+
+
+def test_empty_simplex_is_a_parse_error():
+    with pytest.raises(ParseError, match="^empty simplex$"):
+        parse_complex('{"simplices": [[]]}')
+
+
+@pytest.mark.parametrize("line", ["E: 3", "E: 3 3", "E: 3 4 5"])
+def test_cw2_edge_line_needs_two_distinct_endpoints(line):
+    with pytest.raises(ParseError, match=f"^line 2: edge needs two distinct endpoints: '{line}'$"):
+        parse_complex(f"F: 0 1 2\n{line}\n")
+
+
+def test_json_parser_rejects_a_document_that_is_not_an_object():
+    # parse_complex only hands it text that starts with "{"
+    with pytest.raises(ParseError, match="^JSON document must be an object$"):
+        _parse_json_obj([["0", "1", "2"]])
+
+
+@pytest.mark.parametrize("value", ["[]", "3", '"012"'])
+def test_json_simplices_must_be_a_nonempty_list(value):
+    with pytest.raises(ParseError, match='^"simplices" must be a nonempty list$'):
+        parse_complex(f'{{"simplices": {value}}}')
+
+
+@pytest.mark.parametrize("text", ["", "# only a comment\n", "\n  \n"])
+def test_cw2_without_lines_is_empty_input(text):
+    with pytest.raises(ParseError, match="^empty input: no cells$"):
+        parse_complex(text, fmt="cw2")
+
+
+@pytest.mark.parametrize("text", ['{"faces": []}', '{"edges": [], "vertices": []}'])
+def test_json_cw_document_without_cells_is_empty_input(text):
+    with pytest.raises(ParseError, match="^empty input: no cells$"):
+        parse_complex(text)
+
+
+def test_parse_complex_rejects_an_unknown_format():
+    with pytest.raises(ValueError, match="^unknown format 'json'$"):
+        parse_complex("0 1 2", fmt="json")
+
+
+def test_deeply_nested_json_is_a_parse_error():
+    text = '{"simplices": ' + "[" * 100_000 + "]" * 100_000 + "}"
+    with pytest.raises(ParseError, match="^bad JSON: nested too deeply$"):
+        parse_complex(text)

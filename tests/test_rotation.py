@@ -443,3 +443,64 @@ def test_enumerate_bound():
         enumerate_chords(9)
     with pytest.raises(ValueError):
         enumerate_chords(-1)
+
+
+# ---------------------------------------------------------------------
+# error branches and messages
+# ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "rotations, message",
+    [
+        ([("2", "3", "3", "1")], "edge 1 appears 1 times (need 2)"),
+        ([("9", "10")], "edge 10 appears 1 times (need 2)"),  # least in string order
+        ([("a", "a", "a"), ("b",)], "edge a appears 3 times (need 2)"),
+    ],
+)
+def test_rotation_system_names_the_least_unpaired_edge(rotations, message):
+    with pytest.raises(ParseError) as exc:
+        rotation_system(rotations)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1233", "chord label '1' appears 1 times (need 2)"),
+        ("b,a,a,a", "chord label 'a' appears 3 times (need 2)"),
+        ("9,10,9", "chord label '10' appears 1 times (need 2)"),
+    ],
+)
+def test_parse_chord_code_names_the_least_unpaired_label(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_chord_code(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("text", ["{1,1}}{", "{{1,1}", "{1,1},{2,2"])
+def test_parse_rotation_rejects_unbalanced_braces(text):
+    with pytest.raises(ParseError, match="^unbalanced braces in rotation system$"):
+        parse_rotation(text)
+
+
+def test_parse_rotation_rejects_an_empty_braced_group():
+    with pytest.raises(ParseError, match="^empty vertex group in rotation system$"):
+        parse_rotation("{{},{1,1}}")
+
+
+def test_a_rotation_system_without_vertices_is_disconnected():
+    empty = rotation_system([])
+    with pytest.raises(Disconnected, match="^rotation system has no vertices$"):
+        rs_orientable(empty)
+    with pytest.raises(Disconnected, match="^rotation system has no vertices$"):
+        classify_embedding(empty)
+
+
+def test_code_to_permutation_of_the_empty_code():
+    assert code_to_permutation(()) == ()
+
+
+def test_code_to_permutation_rejects_an_unpaired_label():
+    with pytest.raises(ValueError, match="^chord label '2' appears 1 times$"):
+        code_to_permutation(("1", "2", "1"))

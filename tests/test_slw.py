@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from surfclass import (
@@ -300,3 +302,50 @@ def test_slw_conversion_preserves_type_and_euler():
         s = slw_from_complex(cx)
         assert slw_euler(s) == euler_characteristic(cx)
         assert classify_slw(s) == classify_surface(cx)[0]
+
+
+# ---------------------------------------------------------------------
+# error branches
+# ---------------------------------------------------------------------
+
+
+def test_graph_rejects_an_exponent_other_than_one():
+    with pytest.raises(MalformedWord, match="^letter 'a' has exponent 2$"):
+        slw_graph([], [("a", "P", "P")], [WordList(0, ((Letter("a", 2),),))])
+
+
+@pytest.mark.parametrize("token", ["^-1", "a^2^-1"])
+def test_parse_rejects_a_malformed_inverse_letter(token):
+    text = f"graph:\ne a P P\nlist n=0:\n{token}\n"
+    with pytest.raises(MalformedWord, match=rf"^line 4: bad letter '{re.escape(token)}'$"):
+        parse_slw(text)
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("graph:\nv\n", "v"),
+        ("graph:\nv P Q\n", "v P Q"),
+        ("graph:\ne a P P\nlist n=0:\na\nv P\n", "v P"),
+    ],
+)
+def test_parse_rejects_misplaced_or_malformed_vertex_lines(text, line):
+    with pytest.raises(ParseError, match=f"misplaced or malformed vertex line '{line}'$"):
+        parse_slw(text)
+
+
+def test_parse_rejects_a_duplicate_edge_label():
+    with pytest.raises(ParseError, match="^line 3: duplicate edge label 'a'$"):
+        parse_slw("graph:\ne a P P\ne a P Q\n")
+
+
+@pytest.mark.parametrize("header", ["list 0:", "list n=0", "list"])
+def test_parse_rejects_a_malformed_list_header(header):
+    with pytest.raises(ParseError, match=f"^line 3: expected 'list n=<int>:', got '{header}'$"):
+        parse_slw(f"graph:\ne a P P\n{header}\na a^-1\n")
+
+
+def test_extends_to_homeomorphism_rejects_a_vertex_map_that_is_not_a_bijection():
+    message = "^vertex map is not a bijection between the vertex sets$"
+    with pytest.raises(NotIsomorphism, match=message):
+        extends_to_homeomorphism(TORUS, TORUS, {"Q": "P"}, {"a": "a", "b": "b"})
