@@ -18,6 +18,7 @@ exit code; ``main`` is the only code that writes them out.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -291,7 +292,9 @@ _COMMANDS = (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Return the process's one shared parser, built on first use; do not mutate it."""
     ap = argparse.ArgumentParser(
         prog="surfclass",
         description="Recognize and classify surfaces given combinatorially.",

@@ -64,13 +64,14 @@ class RotationSystem:
         return first, vertex, mate, label, list(map(dict(self.signs).__getitem__, label))
 
 
-def _paired(labels: Iterable[str], what: str) -> Counter[str]:
-    """Count the labels; raise naming the least unpaired one, formatted by `what`."""
+def _paired(labels: Iterable[str], what: str) -> list[str]:
+    """The distinct labels in `_label_key` order; raise naming the first unpaired one as `what`."""
     counts = Counter(labels)
-    for label, n in sorted(counts.items()):
-        if n != 2:
-            raise ParseError(f"{what.format(label)} appears {n} times (need 2)")
-    return counts
+    order = sorted(counts, key=_label_key)
+    for label in order:
+        if counts[label] != 2:
+            raise ParseError(f"{what.format(label)} appears {counts[label]} times (need 2)")
+    return order
 
 
 def rotation_system(
@@ -79,7 +80,7 @@ def rotation_system(
 ) -> RotationSystem:
     """Validate dart multiplicities and complete the sign vector."""
     rots = tuple(tuple(str(d) for d in vertex) for vertex in rotations)
-    labels = sorted(_paired(chain.from_iterable(rots), "edge {}"), key=_label_key)
+    labels = _paired(chain.from_iterable(rots), "edge {}")
     if signs is None:
         signs = {}
     else:

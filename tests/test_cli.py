@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from surfclass.cli import build_parser, main
+from surfclass.cli import _COMMANDS, build_parser, main
 
 
 def run(capsys, *argv):
@@ -316,3 +316,49 @@ def test_namespace_keys_and_defaults(argv):
     assert list(args.items()) == list(MINIMAL_ARGVS[argv].items())
     words = [v for k, v in args.items() if k == "command" or k.endswith("_command")]
     assert handler.__name__ == "_cmd_" + "_".join(words).replace("-", "_")
+
+
+# every command word and group asks for help, then four usage errors
+HELP_AND_USAGE_ARGVS = [["-h"]] + [words.split() + ["-h"] for words, *_ in _COMMANDS] + [
+    [], ["bogus"], ["chord", "enum", "x"], ["classify"]]
+
+
+def exit_of(call, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        call(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+def test_help_and_usage_bytes_match_a_fresh_parser(capsys, monkeypatch):
+    # the shared parser reads the terminal width on each call, as a fresh one does
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        for argv in HELP_AND_USAGE_ARGVS:
+            fresh = exit_of(build_parser.__wrapped__().parse_args, argv, capsys)
+            assert fresh[0] == (0 if "-h" in argv else 2)
+            for _ in range(2):
+                assert exit_of(main, argv, capsys) == fresh, (columns, argv)
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+    assert build_parser.__wrapped__() is not build_parser()
+
+
+@pytest.mark.parametrize("argv", MINIMAL_ARGVS)
+def test_mutating_a_namespace_leaves_the_next_defaults(argv):
+    first = build_parser().parse_args(argv.split())
+    for key in vars(first):
+        setattr(first, key, "changed")
+    first.extra = "added"
+    expected = vars(build_parser.__wrapped__().parse_args(argv.split()))
+    assert vars(build_parser().parse_args(argv.split())) == expected
+
+
+def test_usage_error_leaves_the_next_call_unchanged(capsys):
+    good = ["chord", "enum", "3"]
+    before = run(capsys, *good)
+    assert exit_of(main, ["chord", "enum", "3", "--bound", "x"], capsys)[0] == 2
+    assert run(capsys, *good) == before
+    assert before == (0, "112233\n112323\n112332\n121323\n123123\n", "")

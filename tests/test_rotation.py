@@ -454,7 +454,7 @@ def test_enumerate_bound():
     "rotations, message",
     [
         ([("2", "3", "3", "1")], "edge 1 appears 1 times (need 2)"),
-        ([("9", "10")], "edge 10 appears 1 times (need 2)"),  # least in string order
+        ([("9", "10")], "edge 9 appears 1 times (need 2)"),
         ([("a", "a", "a"), ("b",)], "edge a appears 3 times (need 2)"),
     ],
 )
@@ -470,6 +470,7 @@ def test_rotation_system_names_the_least_unpaired_edge(rotations, message):
         ("1233", "chord label '1' appears 1 times (need 2)"),
         ("b,a,a,a", "chord label 'a' appears 3 times (need 2)"),
         ("9,10,9", "chord label '10' appears 1 times (need 2)"),
+        ("10,9", "chord label '9' appears 1 times (need 2)"),
     ],
 )
 def test_parse_chord_code_names_the_least_unpaired_label(text, message):
