@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple
 
 from .classify import SurfaceType, genus
 from .errors import (
@@ -87,12 +87,8 @@ class SLWGraph:
         return tuple(label for label, _, _ in self.edges)
 
 
-def letter_text(letter: Letter) -> str:
-    return letter.edge if letter.exp == 1 else f"{letter.edge}^-1"
-
-
 def word_text(w: Word) -> str:
-    return " ".join(letter_text(letter) for letter in w)
+    return " ".join(letter.edge if letter.exp == 1 else f"{letter.edge}^-1" for letter in w)
 
 
 def _word_key(w: Word) -> tuple:
@@ -239,11 +235,23 @@ def slw_to_text(s: SLWGraph) -> str:
 # =====================================================================
 
 
+def _least_rotation(w: Word) -> Word:
+    # w's canonical form (Booth 1980) in linear time: of two starts i < j
+    # that agree on k letters, the larger loses, and so do the k after it
+    n, d, i, j, k = len(w), w + w, 0, 1, 0
+    while j < n and k < n:
+        if d[i + k] == d[j + k]:
+            k += 1
+        elif d[i + k] > d[j + k]:
+            i, j, k = j, max(i + k + 1, j + 1), 0
+        else:
+            j, k = j + k + 1, 0
+    return d[i : i + n]
+
+
 def word_equivalent(w1: Word, w2: Word) -> bool:
     """True iff w2 is a cyclic rotation of w1."""
-    if len(w1) != len(w2):
-        return False
-    return any(w1[k:] + w1[:k] == w2 for k in range(len(w1)))
+    return _least_rotation(w1) == _least_rotation(w2)
 
 
 def word_reverse(w: Word) -> Word:
@@ -255,17 +263,22 @@ def word_substitute(w: Word, letter_map: Mapping[str, str]) -> Word:
     return tuple(Letter(letter_map[letter.edge], letter.exp) for letter in w)
 
 
-def _match(left: Sequence, right: Sequence, ok) -> bool:
-    # Pair each left item with the first unused right item ok accepts. No
-    # backtracking is needed: every caller's ok relates whole classes to
-    # whole classes, so which member of a class is taken never matters.
-    # It still recurses once per left item.
-    if not left:
-        return True
-    for j, cand in enumerate(right):
-        if ok(left[0], cand):
-            return _match(left[1:], right[:j] + right[j + 1 :], ok)
-    return False
+def _list_class(wl: WordList) -> tuple:
+    # equal iff the lists are: n >= 0 matches all words as read or all reversed, n < 0 each either way
+    ahead = [_least_rotation(w) for w in wl.words]
+    back = [_least_rotation(word_reverse(w)) for w in wl.words]
+    return (wl.n, tuple(sorted(map(min, ahead, back)) if wl.n < 0 else min(sorted(ahead), sorted(back))))
+
+
+def _lists_match(lists: Iterable[WordList], classes: Counter, letter_map: Mapping[str, str]) -> bool:
+    """True iff every list, its letters substituted, takes one copy of its class from classes."""
+    left = classes.copy()
+    for wl in lists:
+        key = _list_class(WordList(wl.n, tuple(word_substitute(w, letter_map) for w in wl.words)))
+        if not left[key]:
+            return False
+        left[key] -= 1
+    return True
 
 
 def list_equivalent(l1: WordList, l2: WordList, letter_map: Mapping[str, str]) -> bool:
@@ -276,23 +289,12 @@ def list_equivalent(l1: WordList, l2: WordList, letter_map: Mapping[str, str]) -
     """
     if l1.n != l2.n or len(l1.words) != len(l2.words):
         return False
-    subbed = tuple(word_substitute(w, letter_map) for w in l1.words)
-
-    def rev(a: Word, b: Word) -> bool:
-        return word_equivalent(word_reverse(a), b)
-
-    if l1.n >= 0:
-        return _match(subbed, l2.words, word_equivalent) or _match(subbed, l2.words, rev)
-    return _match(subbed, l2.words, lambda a, b: word_equivalent(a, b) or rev(a, b))
+    return _lists_match((l1,), Counter((_list_class(l2),)), letter_map)
 
 
 # =====================================================================
 # SLW-graph equivalence
 # =====================================================================
-
-
-def _match_lists(left: Sequence[WordList], right: Sequence[WordList], letter_map) -> bool:
-    return _match(left, right, lambda a, b: list_equivalent(a, b, letter_map))
 
 
 def slw_equivalent(
@@ -313,7 +315,7 @@ def slw_equivalent(
         m = {str(k): str(v) for k, v in letter_map.items()}
         if sorted(m) != sorted(labels1) or sorted(m.values()) != sorted(labels2):
             raise ValueError("letter map is not a bijection between the edge labels")
-        return dict(m) if _match_lists(s1.lists, s2.lists, m) else None
+        return dict(m) if _lists_match(s1.lists, Counter(map(_list_class, s2.lists)), m) else None
     if sorted(s1.index.signatures) != sorted(s2.index.signatures):
         return None
     prof1, prof2 = s1.index.profiles, s2.index.profiles
@@ -323,24 +325,22 @@ def slw_equivalent(
     # letters in profile order, each with its candidates in label order
     order = sorted(labels1, key=prof1.__getitem__)
     cands = [by_profile.get(prof1[label], ()) for label in order]
-
-    def search(i: int, m: dict[str, str], used: set[str]) -> dict[str, str] | None:
-        if i == len(order):
-            return dict(m) if _match_lists(s1.lists, s2.lists, m) else None
-        label = order[i]
-        for cand in cands[i]:
-            if cand in used:
-                continue
-            m[label] = cand
-            used.add(cand)
-            found = search(i + 1, m, used)
-            if found is not None:
-                return found
-            used.discard(cand)
-            del m[label]
-        return None
-
-    return search(0, {}, set())
+    classes, m, used, stack = Counter(map(_list_class, s2.lists)), {}, set(), []
+    while True:  # depth first in candidate order, so the first bijection that matches is the least
+        if len(stack) < len(order):
+            stack.append(iter(cands[len(stack)]))
+        elif _lists_match(s1.lists, classes, m):
+            return dict(m)
+        while stack:  # the deepest letter takes its next free candidate, or backs up
+            label = order[len(stack) - 1]
+            used.discard(m.pop(label, None))
+            if (cand := next((c for c in stack[-1] if c not in used), None)) is not None:
+                break
+            stack.pop()
+        else:
+            return None
+        m[label] = cand
+        used.add(cand)
 
 
 def extends_to_homeomorphism(
@@ -365,7 +365,7 @@ def extends_to_homeomorphism(
     for label, tail, head in k.edges:
         if emap2[em[label]] != (vm[tail], vm[head]):
             raise NotIsomorphism(f"edge {label!r} is not mapped to a matching directed edge")
-    return len(k.lists) == len(k2.lists) and _match_lists(k.lists, k2.lists, em)
+    return len(k.lists) == len(k2.lists) and _lists_match(k.lists, Counter(map(_list_class, k2.lists)), em)
 
 
 # =====================================================================

@@ -139,6 +139,14 @@ def test_list_equivalence_uniform_flip_for_surface_strata():
     assert not list_equivalent(l1, word_list(1, [w("a"), w("b")]), ident)
 
 
+def test_list_equivalence_checks_sizes_before_the_letter_map():
+    # the map names no b, but lists of other n or word count are told apart first
+    only_a = {"a": "a"}
+    l1 = word_list(0, [w("a"), w("b")])
+    assert list_equivalent(l1, word_list(1, [w("a"), w("b")]), only_a) is False
+    assert list_equivalent(l1, word_list(0, [w("a")]), only_a) is False
+
+
 def test_list_equivalence_mixed_flip_for_unidentified_strata():
     ident = {"a": "a", "b": "b"}
     l1 = word_list(-1, [w("a"), w("b")])

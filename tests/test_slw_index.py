@@ -10,7 +10,7 @@ exactly.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from itertools import product
 
 import pytest
@@ -25,7 +25,7 @@ from surfclass import (
     slw_from_complex,
     slw_graph,
 )
-from surfclass.slw import _match_lists
+from surfclass.slw import _list_class, _lists_match
 from test_incidence import grid
 
 # =====================================================================
@@ -61,7 +61,7 @@ def ref_slw_equivalent(s1, s2):
 
     def search(i, m, used):
         if i == len(order):
-            return dict(m) if _match_lists(s1.lists, s2.lists, m) else None
+            return dict(m) if _lists_match(s1.lists, Counter(map(_list_class, s2.lists)), m) else None
         label = order[i]
         for cand in prof2.get(ref_letter_profile(s1, label), ()):
             if cand in used:

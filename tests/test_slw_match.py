@@ -1,14 +1,14 @@
-"""Word and list matching: first-partner matching against the backtracking it replaced.
+"""Word and list matching: class keys against the scans and backtracking they replaced.
 
 Under a fixed letter map, word equivalence (rotation, reversal, or either)
-and list equivalence relate whole classes to whole classes, so pairing
-each item with the first acceptable partner decides the same as trying
-every partner. The reference below is the backtracking matcher verbatim;
-Hypothesis draws word lists and list sequences with repeated items and
-rotated, reversed or replaced words, and the two must agree. The work
-bounds count matcher calls, not seconds: backtracking over repeated lists
-takes factorially many calls to reject two books of disks that differ only
-in their last list.
+and list equivalence relate whole classes to whole classes, so comparing
+each list's class key decides the same as trying every partner. The
+references below are the any-rotation word scan and the backtracking
+matcher verbatim; Hypothesis draws words, word lists and list sequences
+with repeated items and rotated, reversed or replaced words, and the
+keys must agree with them. The work bounds count key computations, not
+seconds: backtracking over repeated lists takes factorially many calls
+to reject two books of disks that differ only in their last list.
 """
 
 from __future__ import annotations
@@ -30,11 +30,17 @@ from surfclass import (
     word_reverse,
 )
 from surfclass import slw
-from surfclass.slw import _match_lists, word_substitute
+from surfclass.slw import _least_rotation, _list_class, _lists_match, word_substitute
 
 # =====================================================================
-# Reference: the backtracking matchers
+# Reference: the any-rotation scan and the backtracking matchers
 # =====================================================================
+
+
+def ref_word_equivalent(w1, w2):
+    if len(w1) != len(w2):
+        return False
+    return any(w1[k:] + w1[:k] == w2 for k in range(len(w1)))
 
 
 def ref_match_words(left, right, ok):
@@ -135,6 +141,26 @@ def list_sequences(draw):
     return tuple(left), tuple(draw(st.permutations(right))), letter_map
 
 
+@st.composite
+def word_pairs(draw):
+    w = draw(words)
+    return w, draw(word_variant(w))
+
+
+@settings(max_examples=400, deadline=None)
+@given(word_pairs())
+def test_word_equivalent_matches_the_rotation_scan(pair):
+    w1, w2 = pair
+    assert word_equivalent(w1, w2) == ref_word_equivalent(w1, w2)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from((Letter("a", 1), Letter("a", -1), Letter("b", 1))), min_size=1, max_size=12))
+def test_least_rotation_is_the_least_of_all_rotations(w):
+    w = tuple(w)
+    assert _least_rotation(w) == min(w[k:] + w[:k] for k in range(len(w)))
+
+
 @settings(max_examples=400, deadline=None)
 @given(list_pairs())
 def test_list_equivalent_matches_backtracking(pair):
@@ -146,13 +172,18 @@ def test_list_equivalent_matches_backtracking(pair):
 @given(list_sequences())
 def test_list_matching_matches_backtracking(seqs):
     left, right, letter_map = seqs
-    assert _match_lists(left, right, letter_map) == ref_match_lists(left, right, letter_map)
+    assert _lists_match(left, Counter(map(_list_class, right)), letter_map) == ref_match_lists(left, right, letter_map)
 
 
 def test_drawn_inputs_hold_both_verdicts():
     # the comparisons above mean little unless both answers are common;
     # a fixed draw keeps the tally, and so this test, the same on every run
-    verdicts = {"pairs": Counter(), "sequences": Counter()}
+    verdicts = {"words": Counter(), "pairs": Counter(), "sequences": Counter()}
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(word_pairs())
+    def word_pair_verdicts(pair):
+        verdicts["words"][ref_word_equivalent(*pair)] += 1
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(list_pairs())
@@ -164,6 +195,7 @@ def test_drawn_inputs_hold_both_verdicts():
     def sequences(seqs):
         verdicts["sequences"][ref_match_lists(*seqs)] += 1
 
+    word_pair_verdicts()
     pairs()
     sequences()
     assert all(min(v[True], v[False]) >= 15 for v in verdicts.values()), verdicts
@@ -178,15 +210,15 @@ CAP = 121
 
 @pytest.fixture
 def capped(monkeypatch):
-    """Let slw.<name> run at most CAP times; the next call fails the test."""
+    """Let slw.<name> run at most limit times; the next call fails the test."""
 
-    def cap(name):
+    def cap(name, limit=CAP):
         real = getattr(slw, name)
         calls = itertools.count(1)
 
         def counted(*args):
-            if next(calls) > CAP:
-                pytest.fail(f"more than {CAP} calls to {name}")
+            if next(calls) > limit:
+                pytest.fail(f"more than {limit} calls to {name}")
             return real(*args)
 
         monkeypatch.setattr(slw, name, counted)
@@ -205,7 +237,7 @@ def book(last, disks=10):
 
 
 def test_books_differing_in_their_last_list_are_rejected_within_the_cap(capped):
-    capped("list_equivalent")
+    capped("_list_class")
     same, other = book(AB), book(AB_INV)
     assert extends_to_homeomorphism(same, other, {"P": "P"}, {"a": "a", "b": "b"}) is False
     assert slw_equivalent(same, other) is None
@@ -214,7 +246,8 @@ def test_books_differing_in_their_last_list_are_rejected_within_the_cap(capped):
 
 
 def test_lists_differing_in_their_last_word_are_rejected_within_the_cap(capped):
-    capped("word_equivalent")
+    # each comparison takes the least rotation of the 11 words of both lists, read and reversed
+    capped("_least_rotation", 3 * 4 * 11)
     same, other = WordList(0, (AB,) * 11), WordList(0, (AB,) * 10 + (AB_INV,))
     identity = {"a": "a", "b": "b"}
     assert list_equivalent(same, other, identity) is False

@@ -200,14 +200,21 @@ def test_slw_commands_are_total(t1, t2, fmt):
     assert cli(["slw", "equiv", "one", "two", "--format", fmt], files) in EXITS
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=RecursionError,
-    reason="ROADMAP item 2: SLW list matching recurses once per list, so 450 lists exceed the limit",
-)
 def test_slw_equiv_of_a_15x15_torus_with_itself():
     text = slw_to_text(slw_from_complex(grid("torus", 15)))
     assert cli(["slw", "equiv", "t", "t"], {"t": text}) in EXITS
+
+
+def test_slw_equiv_of_a_25x25_torus_with_itself():
+    # 1250 lists and 1875 letters, each far past the recursion limit
+    text = slw_to_text(slw_from_complex(grid("torus", 25)))
+    assert cli(["slw", "equiv", "t", "t"], {"t": text}) == 0
+
+
+def test_identity_map_extends_on_a_25x25_torus():
+    s = slw_from_complex(grid("torus", 25))
+    ident = {v: v for v in s.vertices}
+    assert extends_to_homeomorphism(s, s, ident, {label: label for label in s.labels()}) is True
 
 
 # ---------------------------------------------------------------------
