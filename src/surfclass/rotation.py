@@ -373,16 +373,11 @@ def permutation_to_code(pairs: Iterable[tuple[int, int]]) -> ChordCode:
 
 
 def code_to_permutation(code: ChordCode) -> tuple[tuple[int, int], ...]:
-    """Position pairing read from the code."""
-    where: dict[str, list[int]] = {}
+    """Position pairing read from the code; ParseError unless each label occurs twice."""
+    where: dict[str, list[int]] = {label: [] for label in _paired(code, "chord label {!r}")}
     for pos, label in enumerate(code, start=1):
-        where.setdefault(label, []).append(pos)
-    pairs = []
-    for label, positions in where.items():
-        if len(positions) != 2:
-            raise ValueError(f"chord label {label!r} appears {len(positions)} times")
-        pairs.append((positions[0], positions[1]))
-    return tuple(sorted(pairs))
+        where[label].append(pos)
+    return tuple(sorted(map(tuple, where.values())))
 
 
 def _smaller_image(code: list[int]) -> tuple[list[int], int] | None:

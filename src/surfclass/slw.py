@@ -297,6 +297,64 @@ def list_equivalent(l1: WordList, l2: WordList, letter_map: Mapping[str, str]) -
 # =====================================================================
 
 
+def _occurrences(s: SLWGraph) -> tuple[list[Word], dict[str, list[tuple[int, int]]]]:
+    # every word of s, list by list, and each label's occurrences as (word number, position)
+    words = [w for wl in s.lists for w in wl.words]
+    occ: dict[str, list[tuple[int, int]]] = defaultdict(list)
+    for k, w in enumerate(words):
+        for i, letter in enumerate(w):
+            occ[letter.edge].append((k, i))
+    return words, occ
+
+
+def _seeded_search(s1: SLWGraph, s2: SLWGraph, at1: tuple, order: list, cands: list, keys: Counter) -> dict | None:
+    """The least valid bijection along order, for an s1 whose words one seed lays.
+
+    A seed lays the first worded letter on an occurrence of a candidate, reversed iff
+    the exponents differ; each letter mapped lays its other occurrence on its image's.
+    """
+    (words1, occ1), (words2, occ2) = at1, _occurrences(s2)
+    prof1, prof2 = s1.index.profiles, s2.index.profiles
+    k = len(order) - len(occ1)  # the letters in no word lead the order and take cands[0] in turn
+    free = dict(zip(order[:k], cands[0]))
+
+    def forced(*seed: int) -> dict[str, str] | None:  # None at the first conflict
+        m, images, laid, todo = dict(free), set(), set(), [seed]
+        while todo:
+            a, p, b, q = todo.pop()
+            # with no label thrice, an earlier lay of a agrees with this one, and no
+            # other word lies on b, since b's letter at q has no other preimage left
+            if a in laid:
+                continue
+            w, v, n = words1[a], words2[b], len(words1[a])
+            if len(v) != n:
+                return None
+            laid.add(a)
+            step = 1 if w[p].exp == v[q].exp else -1
+            for i in range(n):
+                i1, i2 = (p + i) % n, (q + step * i) % n
+                x, y = w[i1], v[i2]
+                if x.exp * step != y.exp or m.get(x.edge, y.edge) != y.edge:
+                    return None
+                if x.edge not in m:
+                    if y.edge in images or prof1[x.edge] != prof2[y.edge]:
+                        return None
+                    m[x.edge] = y.edge
+                    images.add(y.edge)
+                    o1, o2 = occ1[x.edge], occ2[y.edge]
+                    if len(o1) == 2:  # equal profiles, so y occurs twice too
+                        todo.append(o1[o1[0] == (a, i1)] + o2[o2[0] == (b, i2)])
+        return m
+
+    a, p = occ1[order[k]][0]
+    for y in cands[k]:  # the first image with a valid map gives the least witness
+        found = [[m[label] for label in order] for b, q in occ2[y]
+                 if (m := forced(a, p, b, q)) is not None and _lists_match(s1.lists, keys, m)]
+        if found:
+            return dict(zip(order, min(found)))
+    return None
+
+
 def slw_equivalent(
     s1: SLWGraph, s2: SLWGraph, letter_map: Mapping[str, str] | None = None
 ) -> dict[str, str] | None:
@@ -325,11 +383,16 @@ def slw_equivalent(
     # letters in profile order, each with its candidates in label order
     order = sorted(labels1, key=prof1.__getitem__)
     cands = [by_profile.get(prof1[label], ()) for label in order]
-    classes, m, used, stack = Counter(map(_list_class, s2.lists)), {}, set(), []
+    keys = Counter(map(_list_class, s2.lists))
+    words1, occ1 = at1 = _occurrences(s1)
+    joins = [(o[0][0], o[-1][0]) for o in occ1.values()]
+    if occ1 and max(map(len, occ1.values())) <= 2 and len(classes(range(len(words1)), joins)) == 1:
+        return _seeded_search(s1, s2, at1, order, cands, keys)  # a word, no label thrice, one piece
+    m, used, stack = {}, set(), []
     while True:  # depth first in candidate order, so the first bijection that matches is the least
         if len(stack) < len(order):
             stack.append(iter(cands[len(stack)]))
-        elif _lists_match(s1.lists, classes, m):
+        elif _lists_match(s1.lists, keys, m):
             return dict(m)
         while stack:  # the deepest letter takes its next free candidate, or backs up
             label = order[len(stack) - 1]

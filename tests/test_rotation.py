@@ -503,5 +503,5 @@ def test_code_to_permutation_of_the_empty_code():
 
 
 def test_code_to_permutation_rejects_an_unpaired_label():
-    with pytest.raises(ValueError, match="^chord label '2' appears 1 times$"):
+    with pytest.raises(ParseError, match=r"^chord label '2' appears 1 times \(need 2\)$"):
         code_to_permutation(("1", "2", "1"))

@@ -15,8 +15,10 @@ one by one at the end.
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import json
+import random
 import tempfile
 from pathlib import Path
 
@@ -52,20 +54,22 @@ from surfclass import (
 )
 from surfclass.cli import main
 from test_incidence import grid
+from test_slw_index import shuffled
 
 EXITS = {0, 2, 3, 4}
 LONG = 10**4
 FEW = settings(max_examples=40, deadline=None)
 
 
-def cli(argv: list[str], files: dict[str, str] | None = None) -> int:
+def cli(argv: list[str], files: dict[str, str] | None = None, out: io.StringIO | None = None) -> int:
     """Exit code of the CLI on argv, with the named files written to a scratch directory.
 
     argparse reports a usage error by raising SystemExit(2), which the
-    console script turns into exit code 2.
+    console script turns into exit code 2. Standard output goes to out,
+    when given.
     """
     files = files or {}
-    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out or io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         for name, text in files.items():
             (Path(tmp) / name).write_text(text, encoding="utf-8")
@@ -209,6 +213,31 @@ def test_slw_equiv_of_a_25x25_torus_with_itself():
     # 1250 lists and 1875 letters, each far past the recursion limit
     text = slw_to_text(slw_from_complex(grid("torus", 25)))
     assert cli(["slw", "equiv", "t", "t"], {"t": text}) == 0
+
+
+@functools.cache
+def renamed_grid(kind: str, n: int, quads: bool = False) -> tuple:
+    """The SLW of an n x n grid surface and a copy with its labels shuffled, words rotated and lists shuffled."""
+    s = slw_from_complex(grid(kind, n, quads))
+    return s, shuffled(s, random.Random(0))
+
+
+@pytest.mark.parametrize("kind, n, quads, edges", [("torus", 3, True, 18), ("klein", 6, False, 108),
+                                                   ("torus", 25, False, 1875)])
+def test_slw_equivalent_of_a_renamed_grid(kind, n, quads, edges):
+    # a label-renamed 18-edge torus already takes the stack search past 20 s; one seed decides each
+    s, r = renamed_grid(kind, n, quads)
+    assert len(s.edges) == edges
+    witness = slw_equivalent(s, r)
+    assert witness is not None
+    assert slw_equivalent(s, r, letter_map=witness) == witness
+
+
+def test_slw_equiv_of_a_renamed_25x25_torus():
+    s, r = renamed_grid("torus", 25)
+    out = io.StringIO()
+    assert cli(["slw", "equiv", "t", "r"], {"t": slw_to_text(s), "r": slw_to_text(r)}, out) == 0
+    assert out.getvalue().startswith("equivalent\n")
 
 
 def test_identity_map_extends_on_a_25x25_torus():
